@@ -6,7 +6,7 @@ from a GAN, an LSTM, or random baselines, plus a path-length metrics
 suite for comparing the strategies.
 """
 
-from .coverage import CoverageMap, coverage_update
+from .coverage import CoverageMap
 from .corpus import SeedFile, dedup_by_length, dedup_content, load_corpus, merge, save_corpus
 from .errors import CorpusCorruptionError, ShapeError, TrainingError, UsageError
 from .experiment import (

@@ -1,21 +1,30 @@
 """AFL-style bucketed edge-pair coverage map.
 
-Each executed edge pair hashes to one of 65,536 cells by XOR of consecutive
-edge ids. Per-run hit counts are quantized into the classic hit-count buckets
-{1, 2, 3, 4-7, 8-15, 16-31, 32-127, 128+}; a run is novel when it sets a
-bucket bit no earlier run has set.
+Each executed edge pair hashes to one of 65,536 cells (`edge_cell`). A target
+counts its hits per cell while it runs, as AFL's instrumentation does, and
+hands over only the non-zero cells. Per-run hit counts are quantized into the
+classic hit-count buckets {1, 2, 3, 4-7, 8-15, 16-31, 32-127, 128+}; a run is
+novel when it sets a bucket bit no earlier run has set.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .targets import Trace
+if TYPE_CHECKING:
+    from .targets import Trace
 
 MAP_SIZE = 65536
 
 # Bucket lower bounds; bucket index = searchsorted position.
 _BUCKET_BOUNDS = (1, 2, 3, 4, 8, 16, 32, 128)
+
+
+def edge_cell(prev: int, cur: int) -> int:
+    """Map cell of the edge pair (prev, cur): XOR of the two edge ids."""
+    return (prev ^ cur) & (MAP_SIZE - 1)
 
 
 def bucket_index(count: int) -> int:
@@ -29,34 +38,9 @@ def bucket_index(count: int) -> int:
     return idx
 
 
-def _build_lut(max_count: int = 4096) -> np.ndarray:
-    lut = np.zeros(max_count + 1, dtype=np.uint8)
-    for c in range(1, max_count + 1):
-        lut[c] = 1 << bucket_index(c)
-    return lut
-
-
-_LUT = _build_lut()
-_LUT_MAX = len(_LUT) - 1
-
-
-def trace_cells(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Return (cell indices, bucket bitmasks) for one run's hit counts."""
-    raw = trace.edges
-    if isinstance(raw, (bytes, bytearray)):
-        edges = np.frombuffer(bytes(raw), dtype=np.uint8).astype(np.uint32)
-    else:
-        edges = np.asarray(raw, dtype=np.uint32)
-    prev = np.empty_like(edges)
-    prev[0] = 0
-    prev[1:] = edges[:-1]
-    idx = (prev ^ edges) & (MAP_SIZE - 1)
-    # bincount only up to the largest observed index; targets with small
-    # dense edge ids stay cheap this way.
-    counts = np.bincount(idx)
-    hit = np.nonzero(counts)[0]
-    bits = _LUT[np.minimum(counts[hit], _LUT_MAX)]
-    return hit, bits
+# Bucket bit per hit count 0..128; every count from 128 up shares the last.
+_BUCKET_BIT = bytes([0] + [1 << bucket_index(c) for c in range(1, _BUCKET_BOUNDS[-1] + 1)])
+_TOP = len(_BUCKET_BIT) - 1
 
 
 class CoverageMap:
@@ -66,20 +50,16 @@ class CoverageMap:
         self.cells = np.zeros(MAP_SIZE, dtype=np.uint8)
 
     def update(self, trace: Trace) -> bool:
-        """Fold one trace in; True iff any previously unset bucket bit was set."""
-        if not trace.edges:
-            return False
-        hit, bits = trace_cells(trace)
-        seen = self.cells[hit]
-        novel = bool(np.any(bits & ~seen))
-        self.cells[hit] = seen | bits
+        """Fold one run's hits in; True iff any previously unset bucket bit was set."""
+        cells = self.cells
+        novel = False
+        for cell, count in trace.hits.items():
+            bit = _BUCKET_BIT[count if count < _TOP else _TOP]
+            seen = int(cells[cell])
+            if bit & ~seen:
+                cells[cell] = seen | bit
+                novel = True
         return novel
-
-    def would_be_novel(self, trace: Trace) -> bool:
-        if not trace.edges:
-            return False
-        hit, bits = trace_cells(trace)
-        return bool(np.any(bits & ~self.cells[hit]))
 
     def merge(self, other: "CoverageMap") -> None:
         self.cells |= other.cells
@@ -88,7 +68,3 @@ class CoverageMap:
         out = CoverageMap()
         out.cells = self.cells.copy()
         return out
-
-
-def coverage_update(cov_map: CoverageMap, trace: Trace) -> bool:
-    return cov_map.update(trace)

@@ -272,9 +272,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
         corpus_store.save_corpus(d, corpus_store.seeds_from_state(state, worker=i), force=force)
         worker_dirs.append(d)
 
+    # Saved queues carry their trace lengths, so the merged seeds do too.
     merged = corpus_store.merge(worker_dirs, out=phase1 / "merged", force=force)
-    merged = corpus_store.ensure_trace_lengths(merged, target)
-    by_length, _ = corpus_store.dedup_by_length(merged, target)
     training_lengths = {s.trace_length for s in merged}
 
     models_dir = out / "models"

@@ -1,7 +1,9 @@
 """Coverage-guided mutational fuzzing loop with mid-run reinitialization.
 
 One deterministic mutation pass (bit/byte flips, arithmetic, interesting
-values) per queue entry on first selection, havoc-only afterwards; selection
+values) per queue entry on first selection, havoc-only afterwards; a budget
+that ends mid-pass or mid-round leaves it to be resumed by the next call, so
+a run split over several calls equals one call on the total budget. Selection
 is round-robin so reinitialization strategies compete on equal footing.
 All randomness flows from a single seeded generator, and time is virtual
 (the execution counter), so runs are bit-reproducible.
@@ -10,6 +12,7 @@ All randomness flows from a single seeded generator, and time is virtual
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -59,6 +62,9 @@ class FuzzerState:
         self.crashes: list[QueueEntry] = []
         self.log: list[str] = []
         self._cursor = 0
+        # The entry whose deterministic pass or havoc round a budget cut short,
+        # and how many of its candidates ran; the next fuzz_loop call resumes it.
+        self._round: tuple[QueueEntry, int] | None = None
 
     @classmethod
     def from_seeds(cls, seeds: list[bytes], target: TargetProgram, config: FuzzConfig) -> "FuzzerState":
@@ -229,30 +235,32 @@ def fuzz_loop(state: FuzzerState, target: TargetProgram, exec_budget: int) -> li
     new_entries: list[QueueEntry] = []
     spent = 0
     while spent < exec_budget:
-        entry = state.queue[state._cursor % len(state.queue)]
-        state._cursor += 1
-        if not entry.det_done:
-            entry.det_done = True
-            for candidate in deterministic_mutations(entry.data, state.config.det_max_bytes):
-                if spent >= exec_budget:
-                    break
-                admitted = state._run_and_admit(
-                    target, candidate, origin="mutation", parent=entry.id, force=False
-                )
-                spent += 1
-                if admitted is not None:
-                    new_entries.append(admitted)
+        if state._round is None:
+            state._round = (state.queue[state._cursor % len(state.queue)], 0)
+            state._cursor += 1
+        entry, done = state._round
+        if entry.det_done:
+            stage = (havoc(entry.data, state.queue, state.rng, state.config)
+                     for _ in range(done, state.config.havoc_per_round))
         else:
-            for _ in range(state.config.havoc_per_round):
-                if spent >= exec_budget:
-                    break
-                candidate = havoc(entry.data, state.queue, state.rng, state.config)
-                admitted = state._run_and_admit(
-                    target, candidate, origin="mutation", parent=entry.id, force=False
-                )
-                spent += 1
-                if admitted is not None:
-                    new_entries.append(admitted)
+            stage = islice(deterministic_mutations(entry.data, state.config.det_max_bytes),
+                           done, None)
+        for candidate in stage:
+            admitted = state._run_and_admit(
+                target, candidate, origin="mutation", parent=entry.id, force=False
+            )
+            spent += 1
+            done += 1
+            if admitted is not None:
+                new_entries.append(admitted)
+            if spent >= exec_budget:
+                # Left for the next call to resume; the check comes after the
+                # exec so that no havoc draw is spent on an unrun candidate.
+                state._round = (entry, done)
+                break
+        else:
+            entry.det_done = True
+            state._round = None
     return new_entries
 
 

@@ -1,4 +1,4 @@
-"""In-process instrumented targets: pure functions from bytes to edge traces.
+"""In-process instrumented targets: pure functions from bytes to hit counts.
 
 The built-in `minikey` target parses a small TLV key-file format and emits a
 distinct edge id at every parse decision, so trace length grows with input
@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
+from .coverage import edge_cell
 from .errors import UsageError
 
 DEFAULT_EDGE_BUDGET = 1_000_000
@@ -23,22 +24,20 @@ OUTCOME_HANG = "hang"
 
 @dataclass
 class Trace:
-    edges: "bytearray | list[int]"  # edge ids in execution order
+    hits: dict[int, int]  # map cell -> edge-pair hits in this run; no zero counts
     outcome: str = OUTCOME_OK
 
 
 @dataclass
 class ExecResult:
     trace: Trace
-    trace_length: int
-    coverage_novel: bool | None = None
+    trace_length: int  # edges executed
 
 
 @dataclass
 class TargetProgram:
     name: str
-    entry: Callable[[bytes, int], Trace]
-    edge_count_hint: int = 64
+    entry: Callable[[bytes, int], ExecResult]
 
 
 # minikey edge ids, one per parse decision.
@@ -87,45 +86,56 @@ class _Crash(Exception):
     pass
 
 
-def minikey(data: bytes, edge_budget: int = DEFAULT_EDGE_BUDGET) -> Trace:
+def minikey(data: bytes, edge_budget: int = DEFAULT_EDGE_BUDGET) -> ExecResult:
     """Parse a minikey file, emitting one edge per parse decision.
 
-    Edge ids fit in a byte, so the trace is carried as a bytearray.
+    Edges are not kept: each emit adds its edge pairs' hits to a sparse
+    {cell: count} map in O(1), whatever the number of repeats.
     """
-    edges = bytearray()
+    hits: dict[int, int] = {}
+    prev = 0
     budget = edge_budget
 
     def emit(edge: int, times: int = 1) -> None:
-        nonlocal budget
-        if times > budget:
-            edges.extend(bytes([edge]) * budget)
-            budget = 0
+        # `times` repeats of `edge`: one (prev, edge) pair, then times - 1
+        # (edge, edge) pairs. A zero-length run emits nothing.
+        nonlocal prev, budget
+        n = times if times <= budget else budget
+        if n:
+            cell = edge_cell(prev, edge)
+            hits[cell] = hits.get(cell, 0) + 1
+            if n > 1:
+                cell = edge_cell(edge, edge)
+                hits[cell] = hits.get(cell, 0) + n - 1
+            prev = edge
+            budget -= n
+        if n < times:
             raise _Budget
-        if times == 1:
-            edges.append(edge)
-        else:
-            edges.extend(bytes([edge]) * times)
-        budget -= times
 
     def emit_pairs(a: int, b: int, times: int) -> None:
-        # Bulk form of `times` consecutive emit(a); emit(b) pairs.
-        nonlocal budget
-        if 2 * times > budget:
-            edges.extend(bytes([a, b]) * (budget // 2))
-            if budget % 2:
-                edges.append(a)
-            budget = 0
+        # Bulk form of `times` consecutive emit(a); emit(b) pairs, of which
+        # the budget may cut the last one after its `a`.
+        nonlocal prev, budget
+        n = min(2 * times, budget)  # edges a, b, a, b, ...
+        if n:
+            for cell, count in ((edge_cell(prev, a), 1), (edge_cell(a, b), n // 2),
+                                (edge_cell(b, a), (n - 1) // 2)):
+                if count:
+                    hits[cell] = hits.get(cell, 0) + count
+            prev = a if n % 2 else b
+            budget -= n
+        if n < 2 * times:
             raise _Budget
-        edges.extend(bytes([a, b]) * times)
-        budget -= 2 * times
 
     try:
         _parse(data, emit, emit_pairs)
     except _Budget:
-        return Trace(edges, OUTCOME_HANG)
+        outcome = OUTCOME_HANG
     except _Crash:
-        return Trace(edges, OUTCOME_CRASH)
-    return Trace(edges, OUTCOME_OK)
+        outcome = OUTCOME_CRASH
+    else:
+        outcome = OUTCOME_OK
+    return ExecResult(Trace(hits, outcome), edge_budget - budget)
 
 
 def _parse(data: bytes, emit, emit_pairs) -> None:
@@ -233,7 +243,7 @@ def _parse_nested(data: bytes, pos: int, end: int, version: int, emit) -> None:
         pos += avail
 
 
-MINIKEY = TargetProgram(name="minikey", entry=minikey, edge_count_hint=30)
+MINIKEY = TargetProgram(name="minikey", entry=minikey)
 
 _REGISTRY: dict[str, TargetProgram] = {"minikey": MINIKEY}
 
@@ -248,8 +258,7 @@ def get_target(name: str) -> TargetProgram:
 def execute(target: TargetProgram, data: bytes, edge_budget: int = DEFAULT_EDGE_BUDGET) -> ExecResult:
     if edge_budget <= 0:
         raise UsageError("edge_budget must be positive")
-    trace = target.entry(data, edge_budget)
-    return ExecResult(trace=trace, trace_length=len(trace.edges))
+    return target.entry(data, edge_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +282,3 @@ def build_crash_input() -> bytes:
     """The planted defect: v2 file with an empty key inside a nested list."""
     inner = build_record(REC_KEY, b"")
     return build_minikey_input(2, [build_record(REC_NESTED, inner)])
-
-
-def dump_trace(trace: Trace) -> str:
-    """Debug format: one decimal edge id per line, newline-terminated."""
-    return "".join(f"{e}\n" for e in trace.edges)

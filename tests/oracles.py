@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ganfuzz import nn
+from ganfuzz import nn, targets
+from ganfuzz.coverage import MAP_SIZE
 
 FD_H = 1e-5
 FD_REL_TOL = 1e-4
@@ -98,6 +99,53 @@ def brute_bucket_index(count: int) -> int:
     if 32 <= count <= 127:
         return 6
     return 7
+
+
+# ---------------------------------------------------------------------------
+# Edge sequences
+
+
+def record_edges(data: bytes, edge_budget: int = targets.DEFAULT_EDGE_BUDGET):
+    """Run minikey's parser with a sink that keeps every edge in order, cut at
+    the budget. Returns (edges, outcome)."""
+    edges: list[int] = []
+
+    def emit_run(run):
+        take = min(len(run), edge_budget - len(edges))
+        edges.extend(run[:take])
+        if take < len(run):
+            raise targets._Budget
+
+    def emit(edge, times=1):
+        emit_run([edge] * times)
+
+    def emit_pairs(a, b, times):
+        emit_run([a, b] * times)
+
+    try:
+        targets._parse(data, emit, emit_pairs)
+    except targets._Budget:
+        return edges, targets.OUTCOME_HANG
+    except targets._Crash:
+        return edges, targets.OUTCOME_CRASH
+    return edges, targets.OUTCOME_OK
+
+
+def brute_hits(edges) -> dict[int, int]:
+    """Per-cell hit counts of an edge sequence: XOR of consecutive edge ids
+    (the first paired with 0), then bincount."""
+    cur = np.asarray(edges, dtype=np.int64)
+    if not len(cur):
+        return {}
+    prev = np.concatenate(([0], cur[:-1]))
+    counts = np.bincount((prev ^ cur) & (MAP_SIZE - 1))
+    hit = np.flatnonzero(counts)
+    return dict(zip(hit.tolist(), counts[hit].tolist()))
+
+
+def trace_of(edges, outcome: str = targets.OUTCOME_OK) -> targets.Trace:
+    """The Trace a target would report for this edge sequence."""
+    return targets.Trace(brute_hits(edges), outcome)
 
 
 # ---------------------------------------------------------------------------

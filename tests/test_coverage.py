@@ -1,15 +1,14 @@
 """Unit tests for the bucketed edge-pair coverage map."""
 
-from ganfuzz.coverage import MAP_SIZE, CoverageMap, _LUT, bucket_index, coverage_update
+from ganfuzz.coverage import MAP_SIZE, CoverageMap, _BUCKET_BIT, bucket_index, edge_cell
 from ganfuzz.targets import Trace
 
-from oracles import brute_bucket_index
+from oracles import brute_bucket_index, trace_of
 
 
 def _trace_with_count(count: int) -> Trace:
-    """A trace whose edge pairs all hash to cell 5, hit exactly `count` times."""
-    edges = [5 if i % 2 == 0 else 0 for i in range(count)]
-    return Trace(edges)
+    """A trace whose only cell is 5, hit exactly `count` times."""
+    return Trace({5: count})
 
 
 def test_bucket_index_matches_brute_force_0_to_300():
@@ -18,24 +17,34 @@ def test_bucket_index_matches_brute_force_0_to_300():
 
 
 def test_lut_matches_brute_force():
-    for count in range(1, len(_LUT)):
-        assert _LUT[count] == 1 << brute_bucket_index(count)
+    assert _BUCKET_BIT[0] == 0
+    for count in range(1, len(_BUCKET_BIT)):
+        assert _BUCKET_BIT[count] == 1 << brute_bucket_index(count)
+    # Counts past the table share its last bucket.
+    assert brute_bucket_index(len(_BUCKET_BIT) - 1) == brute_bucket_index(10**6)
+
+
+def test_counts_past_the_table_land_in_the_top_bucket():
+    cov = CoverageMap()
+    assert cov.update(_trace_with_count(5000))
+    assert cov.cells[5] == 1 << 7
+    assert not cov.update(_trace_with_count(128))
 
 
 def test_empty_map_any_trace_novel():
-    assert CoverageMap().update(Trace([1, 2, 3]))
+    assert CoverageMap().update(trace_of([1, 2, 3]))
 
 
 def test_replay_not_novel():
     cov = CoverageMap()
-    trace = Trace([1, 2, 3, 1])
+    trace = trace_of([1, 2, 3, 1])
     assert cov.update(trace)
+    assert not cov.copy().update(trace)
     assert not cov.update(trace)
-    assert not cov.would_be_novel(trace)
 
 
 def test_empty_trace_never_novel():
-    assert not CoverageMap().update(Trace([]))
+    assert not CoverageMap().update(Trace({}))
 
 
 def test_bucket_transitions():
@@ -44,46 +53,47 @@ def test_bucket_transitions():
     for prior, later, expect in ((3, 5, True), (2, 3, True), (5, 6, False)):
         cov = CoverageMap()
         cov.update(_trace_with_count(prior))
-        assert cov.would_be_novel(_trace_with_count(later)) is expect
+        assert cov.copy().update(_trace_with_count(later)) is expect
+
+
+def test_update_ors_the_bucket_bit_into_the_cell():
+    cov = CoverageMap()
+    cov.update(_trace_with_count(3))
+    cov.update(_trace_with_count(9))
+    assert cov.cells[5] == (1 << 2) | (1 << 4)
+    assert int(cov.cells.astype(bool).sum()) == 1
 
 
 def test_cell_indexing_is_xor_of_consecutive_edges():
+    for prev, cur in ((0, 3), (3, 9), (9, 9), (29, 0), (1234, 4321)):
+        assert edge_cell(prev, cur) == prev ^ cur
     cov = CoverageMap()
-    cov.update(Trace([3, 9]))
+    cov.update(trace_of([3, 9]))
     assert cov.cells[3] != 0  # (0, 3) pair
     assert cov.cells[3 ^ 9] != 0  # (3, 9) pair
     assert int(cov.cells.astype(bool).sum()) == 2
 
 
 def test_large_edge_ids_wrap_into_map():
-    novel = CoverageMap().update(Trace([MAP_SIZE + 7]))
-    assert novel
+    assert edge_cell(0, MAP_SIZE + 7) == 7
+    assert edge_cell(MAP_SIZE + 3, 2 * MAP_SIZE + 5) == 3 ^ 5
+    assert all(0 <= edge_cell(p, c) < MAP_SIZE
+               for p in (0, 1, MAP_SIZE - 1, MAP_SIZE, 3 * MAP_SIZE + 11)
+               for c in (0, 2, MAP_SIZE - 2, MAP_SIZE + 1, 7 * MAP_SIZE))
 
 
 def test_merge_unions_bits():
     a, b = CoverageMap(), CoverageMap()
-    a.update(Trace([1]))
-    b.update(Trace([2]))
+    a.update(trace_of([1]))
+    b.update(trace_of([2]))
     a.merge(b)
-    assert not a.would_be_novel(Trace([1]))
-    assert not a.would_be_novel(Trace([2]))
+    assert not a.copy().update(trace_of([1]))
+    assert not a.copy().update(trace_of([2]))
 
 
 def test_copy_is_independent():
     a = CoverageMap()
-    a.update(Trace([1]))
+    a.update(trace_of([1]))
     b = a.copy()
-    b.update(Trace([2]))
-    assert a.would_be_novel(Trace([2]))
-
-
-def test_module_level_wrapper():
-    cov = CoverageMap()
-    assert coverage_update(cov, Trace([4]))
-    assert not coverage_update(cov, Trace([4]))
-
-
-def test_bytearray_traces_supported():
-    cov = CoverageMap()
-    assert cov.update(Trace(bytearray([1, 2])))
-    assert not cov.update(Trace([1, 2]))
+    b.update(trace_of([2]))
+    assert a.copy().update(trace_of([2]))

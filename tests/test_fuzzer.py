@@ -1,5 +1,7 @@
 """Unit tests for the coverage-guided fuzzing loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,10 @@ from ganfuzz.targets import MINIKEY
 
 # Frozen at first build: minikey, single seed "MKEY", budget 50,000, rng seed 0.
 GOLDEN_50K_DISCOVERIES = 38
+
+# SHA-256 of repr(_queue_fingerprint(...)) for minikey, seed "MKEY", budget
+# 20,000, rng seed 0; frozen while the target still materialized its traces.
+GOLDEN_20K_QUEUE_SHA256 = "b8df29632ac0ebd045477f4f483333589a5beb62c5860a166872153b3ddb8f09"
 
 
 def _queue_fingerprint(state):
@@ -93,6 +99,29 @@ class TestFuzzLoop:
         state = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=0))
         new = fuzz_loop(state, MINIKEY, 50_000)
         assert len(new) == GOLDEN_50K_DISCOVERIES
+
+    def test_golden_queue_digest(self):
+        state = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=0))
+        fuzz_loop(state, MINIKEY, 20_000)
+        digest = hashlib.sha256(repr(_queue_fingerprint(state)).encode()).hexdigest()
+        assert len(state.queue) == 22
+        assert digest == GOLDEN_20K_QUEUE_SHA256
+
+    def test_split_budget_equals_one_call(self):
+        # Budgets that end mid deterministic pass and mid havoc round: each
+        # is resumed by the next call on the same entry, so the split run is
+        # the single run. The queue grows during the cut passes.
+        single = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=0))
+        fuzz_loop(single, MINIKEY, 60_000)
+        cuts = []
+        split = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=0))
+        for budget in (7, 9_993, 10_000, 30_000, 800, 4_203, 4_997):
+            fuzz_loop(split, MINIKEY, budget)
+            cuts.append("havoc" if split._round[0].det_done else "det")
+        assert {"det", "havoc"} <= set(cuts)
+        assert _queue_fingerprint(split) == _queue_fingerprint(single)
+        assert split.log == single.log
+        assert split.exec_count == single.exec_count == 60_001
 
     def test_virtual_time_strictly_increasing(self):
         state = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=1))
