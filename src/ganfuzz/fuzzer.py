@@ -51,6 +51,12 @@ class FuzzConfig:
     edge_budget: int = 1_000_000
     det_max_bytes: int = 512  # deterministic stage covers at most this prefix
 
+    def __post_init__(self):
+        # A havoc round of 0 execs would never spend the loop's budget.
+        for name in ("havoc_per_round", "havoc_stack_max", "edge_budget"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"FuzzConfig.{name} must be >= 1, got {getattr(self, name)}")
+
 
 class FuzzerState:
     def __init__(self, config: FuzzConfig):
@@ -72,7 +78,9 @@ class FuzzerState:
         state = cls(config)
         if not seeds:
             seeds = [b"0"]  # minimal default seed
-        for data in seeds:
+        for index, data in enumerate(seeds):
+            if not data:
+                raise UsageError(f"seed {index} is empty; havoc cannot mutate an empty input")
             state._run_and_admit(target, data, origin="initial", parent=None, force=True)
         return state
 

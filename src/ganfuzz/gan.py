@@ -65,9 +65,10 @@ class GanModel:
 
 
 def _discriminate(model_layers, x, rate, rng, training):
-    """Forward through dropout stage + dense stack; returns (probs, mask)."""
-    dropped, mask = nn.dropout_forward(x, rate, rng, training=training)
-    return nn.forward(model_layers, dropped), mask
+    """Forward through the dropout stage (training only) and the dense stack."""
+    if training:
+        x, _ = nn.dropout_forward(x, rate, rng)
+    return nn.forward(model_layers, x)
 
 
 def train_gan(corpus, config: GanConfig) -> GanModel:
@@ -135,6 +136,7 @@ def _train_gan_once(corpus, config: GanConfig, rng_seed: int) -> GanModel:
     probe_z = rng.uniform(-1.0, 1.0, size=(512, config.latent_dim))
     best_score = np.inf
     best_params: list[np.ndarray] | None = None
+    pair = np.empty((2 * batch, output_len))  # a discriminator batch: real rows, then fake
     for epoch in range(config.epochs):
         if config.anneal_after_epoch and epoch >= config.anneal_after_epoch:
             g_opt.lr *= config.anneal_factor
@@ -147,26 +149,25 @@ def _train_gan_once(corpus, config: GanConfig, rng_seed: int) -> GanModel:
             # Discriminator update: real labeled 1, fake labeled 0.
             z = rng.uniform(-1.0, 1.0, size=(m, config.latent_dim))
             fake = nn.forward(generator, z, cache=False)
-            x = np.concatenate([real_batch, fake])
+            x = np.concatenate([real_batch, fake], out=pair[: 2 * m])
             labels = np.concatenate([np.ones((m, 1)), np.zeros((m, 1))])
-            probs, mask = _discriminate(discriminator, x, config.dropout_rate, rng, True)
+            probs = _discriminate(discriminator, x, config.dropout_rate, rng, True)
             d_loss, grad = nn.loss_and_grad("binary_cross_entropy", probs, labels)
-            grad_in = nn.backward(discriminator, grad)
-            _ = grad_in * mask  # dropout stage has no trainable parameters
+            nn.backward(discriminator, grad, input_grad=False)
             d_opt.step(nn.parameters(discriminator), nn.gradients(discriminator))
             nn.assert_finite(nn.parameters(discriminator), "discriminator update")
 
             # Generator update: fake labeled 1 through the frozen discriminator.
             z = rng.uniform(-1.0, 1.0, size=(m, config.latent_dim))
             fake = nn.forward(generator, z)
-            probs, _ = _discriminate(discriminator, fake, config.dropout_rate, rng, False)
+            probs = _discriminate(discriminator, fake, config.dropout_rate, rng, False)
             g_loss, grad = nn.loss_and_grad(
                 "binary_cross_entropy", probs, np.ones((m, 1))
             )
             grad_fake = nn.backward(discriminator, grad)
             if config.g_grad_clip > 0.0:
-                grad_fake = np.clip(grad_fake, -config.g_grad_clip, config.g_grad_clip)
-            nn.backward(generator, grad_fake)
+                np.clip(grad_fake, -config.g_grad_clip, config.g_grad_clip, out=grad_fake)
+            nn.backward(generator, grad_fake, input_grad=False)
             g_opt.step(nn.parameters(generator), nn.gradients(generator))
             nn.assert_finite(nn.parameters(generator), "generator update")
 
@@ -178,7 +179,7 @@ def _train_gan_once(corpus, config: GanConfig, rng_seed: int) -> GanModel:
         fake = nn.forward(generator, z, cache=False)
         holdout = np.concatenate([real[order[:batch]], fake])
         labels = np.concatenate([np.ones((batch, 1)), np.zeros((batch, 1))])
-        probs, _ = _discriminate(discriminator, holdout, config.dropout_rate, rng, False)
+        probs = _discriminate(discriminator, holdout, config.dropout_rate, rng, False)
         acc = float(np.mean((probs > 0.5) == (labels > 0.5)))
         pegged_epochs = pegged_epochs + 1 if acc in (0.0, 1.0) else 0
         if pegged_epochs >= 5:
@@ -197,6 +198,7 @@ def _train_gan_once(corpus, config: GanConfig, rng_seed: int) -> GanModel:
         for param, best in zip(nn.parameters(generator), best_params, strict=True):
             param[...] = best
         model.moment_score = best_score
+    nn.release(generator + discriminator)
     model.train_time = time.perf_counter() - start
     return model
 
@@ -205,14 +207,10 @@ def gan_generate(model: GanModel, n: int, rng_seed: int) -> SyntheticBatch:
     """Decode n generator samples to byte strings of exactly output_len bytes."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     z = rng.uniform(-1.0, 1.0, size=(n, model.latent_dim))
     out = nn.forward(model.generator, z, cache=False)
-    seeds = [decode_floats(row) for row in out]
-    return SyntheticBatch("gan", seeds,
-                          generation_time=time.perf_counter() - start,
-                          model_train_time=model.train_time)
+    return SyntheticBatch("gan", [decode_floats(row) for row in out])
 
 
 # ---------------------------------------------------------------------------

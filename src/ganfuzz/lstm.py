@@ -60,66 +60,136 @@ class LstmModel:
                 self.proj.weights, self.proj.bias]
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+class _Steps:
+    """Buffers for running a (batch, T) window batch through the recurrence.
+
+    With keep=True (training) every step stays for BPTT. Row k of `gates`,
+    `g` and `tc` belongs to step T-1-k, the order in which the dwx scatter
+    adds the steps up: the activated (i, f, ., o) gates, tanh of the cell
+    input and tanh(c). Rows t and t+1 of `h` and `c` are the state before and
+    after step t; row 0 is the zero state. With keep=False (inference) one
+    step's rows are reused for every step and `h`, `c` alternate between two.
+
+    g, tc, h and c share one buffer. They are dead once BPTT has run, and the
+    flat dwx cell of every dgates entry, which the scatter needs, is written
+    over them (`cells`); so each forward pass starts by zeroing row 0.
+    """
+
+    def __init__(self, hw: int, batch: int, steps: int, keep: bool):
+        self.keep = keep
+        kept = steps if keep else 1
+        self.gates = np.empty((kept, batch, 4 * hw))
+        state = np.empty((4 * kept + 2) * batch * hw)
+        ends = np.cumsum([0, kept, kept, kept + 1, kept + 1]) * batch * hw
+        self.g, self.tc, self.h, self.c = (
+            state[a:b].reshape(-1, batch, hw) for a, b in zip(ends, ends[1:]))
+        self.cells = state.view(np.intp)[: self.gates.size].reshape(self.gates.shape)
+        # Step scratch: wide[0] takes h @ wh; BPTT uses both and the rest.
+        self.wide = np.empty((2 if keep else 1, batch, 4 * hw))
+        if keep:
+            self.narrow = np.empty((2, batch, hw))
+            self.dwh_part = np.empty((hw, 4 * hw))
+        self.x: np.ndarray | None = None  # (T, batch) byte indices, last step first
+
+    def fits(self, batch: int, steps: int, keep: bool) -> bool:
+        return self.keep == keep and self.h.shape[1] == batch and (
+            self.gates.shape[0] == steps or not keep)
 
 
-def _cell_forward(model: LstmModel, x_idx: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One LSTM step for a batch of byte indices; returns (h, c, cache)."""
+def _cell_forward(model: LstmModel, x_idx: np.ndarray, st: _Steps, k: int, p: int, q: int):
+    """One LSTM step for a batch of byte indices from state (h[p], c[p]) into
+    (h[q], c[q]); its gates, tanh(g) and tanh(c) go to row k."""
     hw = model.hidden_width
-    gates = model.wx[x_idx] + h @ model.wh + model.b
-    i = _sigmoid(gates[:, :hw])
-    f = _sigmoid(gates[:, hw : 2 * hw])
-    g = np.tanh(gates[:, 2 * hw : 3 * hw])
-    o = _sigmoid(gates[:, 3 * hw :])
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-    cache = (x_idx, h, c, i, f, g, o, tc)
-    return h_new, c_new, cache
+    gates = st.gates[k]
+    # Bytes are < 256, so "clip" clips nothing; "raise" would copy via a temporary.
+    np.take(model.wx, x_idx, axis=0, out=gates, mode="clip")
+    gates += np.matmul(st.h[p], model.wh, out=st.wide[0])
+    gates += model.b
+    np.tanh(gates[:, 2 * hw : 3 * hw], out=st.g[k])
+    nn.apply_activation("sigmoid", gates, out=gates)  # the g columns go unused
+    c = np.multiply(gates[:, hw : 2 * hw], st.c[p], out=st.c[q])
+    c += np.multiply(gates[:, :hw], st.g[k], out=st.tc[k])
+    np.tanh(c, out=st.tc[k])
+    np.multiply(gates[:, 3 * hw :], st.tc[k], out=st.h[q])
 
 
-def _forward_window(model: LstmModel, windows: np.ndarray, cache: bool = True):
-    """Run a (batch, T) window batch through the recurrence; returns
-    (probs over next byte, final h, final c, per-step caches)."""
-    batch, steps = windows.shape
-    hw = model.hidden_width
-    h = np.zeros((batch, hw))
-    c = np.zeros((batch, hw))
-    caches = []
+def _recur(model: LstmModel, windows: np.ndarray, st: _Steps) -> np.ndarray:
+    """Run windows from the zero state through st; returns the final h."""
+    steps = windows.shape[1]
+    st.h[0] = 0.0
+    st.c[0] = 0.0
     for t in range(steps):
-        h, c, step_cache = _cell_forward(model, windows[:, t], h, c)
-        if cache:
-            caches.append(step_cache)
+        if st.keep:
+            _cell_forward(model, windows[:, t], st, steps - 1 - t, t, t + 1)
+        else:
+            _cell_forward(model, windows[:, t], st, 0, t % 2, 1 - t % 2)
+    return st.h[steps if st.keep else steps % 2]
+
+
+def _forward_window(model: LstmModel, windows: np.ndarray, cache: bool = True,
+                    steps: _Steps | None = None):
+    """Run a (batch, T) window batch through the recurrence; returns (probs
+    over next byte, final h, final c, step cache or None). h and c are views
+    into the cache's buffers, which are reused from `steps`, a previous call's
+    cache, when they fit."""
+    batch, length = windows.shape
+    if steps is None or not steps.fits(batch, length, cache):
+        steps = _Steps(model.hidden_width, batch, length, keep=cache)
+    h = _recur(model, windows, steps)
+    c = steps.c[length if cache else length % 2]
+    if cache:
+        steps.x = windows[:, ::-1].T
     d = model.dense.forward(h, cache=cache)
     probs = model.proj.forward(d, cache=cache)
-    return probs, h, c, caches
+    return probs, h, c, steps if cache else None
 
 
-def _backward_window(model: LstmModel, caches, grad_probs: np.ndarray):
-    """BPTT for the many-to-one loss; returns grads aligned with params()."""
-    grad_d = model.proj.backward(grad_probs)
+def _backward_window(model: LstmModel, st: _Steps, grad_probs: np.ndarray):
+    """BPTT for the many-to-one loss; returns grads aligned with params().
+    grad_probs is overwritten.
+
+    Each step's dgates overwrite its gates row, so after the loop `st.gates`
+    holds every step's dgates, last step first. dwx is their scatter into the
+    rows of the input bytes: one bincount, which adds each cell's terms in
+    that order from 0.0, as a per-step np.add.at would.
+    """
+    grad_d = model.proj.backward(grad_probs, overwrite=True)
     dh = model.dense.backward(grad_d)
     hw = model.hidden_width
-    dwx = np.zeros_like(model.wx)
+    steps = st.x.shape[0]
     dwh = np.zeros_like(model.wh)
     db = np.zeros_like(model.b)
     dc = np.zeros_like(dh)
-    for x_idx, h_prev, c_prev, i, f, g, o, tc in reversed(caches):
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dgates = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
-            axis=1,
-        )
-        np.add.at(dwx, x_idx, dgates)
-        dwh += h_prev.T @ dgates
+    upstream, factor = st.wide
+    tmp, decay = st.narrow
+    st.gates[:, :, 2 * hw : 3 * hw] = 1.0  # (i, f, 1, o): the g columns pass dg through
+    for k in range(steps):
+        t = steps - 1 - k
+        dgates, g, tc = st.gates[k], st.g[k], st.tc[k]
+        i, f, o = dgates[:, :hw], dgates[:, hw : 2 * hw], dgates[:, 3 * hw :]
+        # dc += dh * o * (1 - tc * tc)
+        np.multiply(tc, tc, out=decay)
+        np.subtract(1.0, decay, out=decay)
+        dc += np.multiply(np.multiply(dh, o, out=tmp), decay, out=tmp)
+        # dgates = (di, df, dg, do) * (i, f, 1, o) * (1 - i, 1 - f, 1 - g * g, 1 - o)
+        np.multiply(dc, g, out=upstream[:, :hw])
+        np.multiply(dc, st.c[t], out=upstream[:, hw : 2 * hw])
+        np.multiply(dc, i, out=upstream[:, 2 * hw : 3 * hw])
+        np.multiply(dh, tc, out=upstream[:, 3 * hw :])
+        np.subtract(1.0, dgates, out=factor)
+        np.multiply(g, g, out=factor[:, 2 * hw : 3 * hw])
+        np.subtract(1.0, factor[:, 2 * hw : 3 * hw], out=factor[:, 2 * hw : 3 * hw])
+        dc *= f
+        dgates *= upstream
+        dgates *= factor
+        if t:  # h before the first step is zero: its dwh term adds nothing
+            dwh += np.matmul(st.h[t].T, dgates, out=st.dwh_part)
         db += dgates.sum(axis=0)
-        dh = dgates @ model.wh.T
-        dc = dc * f
+        if t:
+            np.matmul(dgates, model.wh.T, out=dh)
+    cells = np.add(st.x[:, :, None] * (4 * hw), np.arange(4 * hw), out=st.cells)
+    dwx = np.bincount(cells.ravel(), weights=st.gates.ravel(),
+                      minlength=model.wx.size).reshape(model.wx.shape)
     return [dwx, dwh, db,
             model.dense.grad_weights, model.dense.grad_bias,
             model.proj.grad_weights, model.proj.grad_bias]
@@ -167,15 +237,16 @@ def train_lstm(corpus, config: LstmConfig) -> LstmModel:
     opt = nn.RmsProp(config.lr)
     n = windows.shape[0]
     batch = min(config.batch_size, n)
+    steps = None
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch):
             sel = order[lo : lo + batch]
-            probs, _, _, caches = _forward_window(model, windows[sel])
+            probs, _, _, steps = _forward_window(model, windows[sel], steps=steps)
             loss, grad = nn.loss_and_grad(
                 "categorical_cross_entropy", probs, _one_hot(targets[sel])
             )
-            grads = _backward_window(model, caches, grad)
+            grads = _backward_window(model, steps, grad)
             opt.step(model.params(), grads)
             nn.assert_finite(model.params(), "lstm update")
             model.losses.append(loss)
@@ -205,7 +276,6 @@ def lstm_generate(model: LstmModel, n: int, temperature: float, corpus,
     text = np.frombuffer(corpus_bytes(corpus), dtype=np.uint8)
     if text.size < model.window:
         raise UsageError("corpus shorter than the priming window")
-    start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     positions = rng.integers(0, text.size - model.window + 1, size=n)
     primers = np.stack([text[p : p + model.window] for p in positions]).astype(np.int64)
@@ -217,13 +287,9 @@ def lstm_generate(model: LstmModel, n: int, temperature: float, corpus,
     context = primers
     greedy = temperature < GREEDY_TEMPERATURE
     out = np.empty((n, model.max_gen_len), dtype=np.uint8)
-    hw = model.hidden_width
+    steps = _Steps(model.hidden_width, n, model.window, keep=False)
     for t in range(model.max_gen_len):
-        h = np.zeros((n, hw))
-        c = np.zeros((n, hw))
-        for step in range(model.window):
-            h, c, _ = _cell_forward(model, context[:, step], h, c)
-        logits = _logits(model, h)
+        logits = _logits(model, _recur(model, context, steps))
         if greedy:
             nxt = logits.argmax(axis=1)
         else:
@@ -234,9 +300,7 @@ def lstm_generate(model: LstmModel, n: int, temperature: float, corpus,
             nxt = (u > cdf).sum(axis=1)
         out[:, t] = nxt
         context = np.concatenate([context[:, 1:], nxt[:, None].astype(np.int64)], axis=1)
-    return SyntheticBatch("lstm", [row.tobytes() for row in out],
-                          generation_time=time.perf_counter() - start,
-                          model_train_time=model.train_time)
+    return SyntheticBatch("lstm", [row.tobytes() for row in out])
 
 
 # ---------------------------------------------------------------------------

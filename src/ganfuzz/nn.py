@@ -1,7 +1,12 @@
 """Minimal dense-network machinery: layers, losses, optimizers, serialization.
 
-Everything is float64 numpy and single-threaded, so training runs are
-bit-reproducible from an RNG seed.
+Everything is float64 numpy, so training runs are bit-reproducible from an
+RNG seed. numpy's matrix products may run on several BLAS threads; the
+results are the same bit for bit with one OpenBLAS thread or two. Layers,
+dropout and optimizers compute in place where they can, so that a training
+step allocates few temporaries; each in-place sequence performs the float
+operations of the plain expression in its comment, in the same order, so it
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -18,36 +23,57 @@ ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid", "softmax")
 LOG_CLAMP = 1e-7
 
 
-def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+def apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """act(z), written into `out` when given (which may be z itself)."""
+    if name not in ACTIVATIONS:
+        raise UsageError(f"unknown activation {name!r}")
     if name == "identity":
-        return z
+        if out is None or out is z:
+            return z
+        np.copyto(out, z)
+        return out
+    if out is None:
+        out = np.empty_like(z, dtype=np.float64)
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "softmax":
-        shifted = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
-    raise UsageError(f"unknown activation {name!r}")
+        np.maximum(z, 0.0, out=out)
+    elif name == "tanh":
+        np.tanh(z, out=out)
+    elif name == "sigmoid":  # 1 / (1 + exp(-z))
+        np.negative(z, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(1.0, out, out=out)
+    else:  # softmax: exp(z - max(z)) / sum(exp(z - max(z)))
+        np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+        np.exp(out, out=out)
+        out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
-def activation_backward(name: str, y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient through an activation, given its output y and upstream dL/dy."""
+def activation_backward(name: str, y: np.ndarray, upstream: np.ndarray,
+                        overwrite: bool = False) -> np.ndarray:
+    """Gradient through an activation, given its output y and upstream dL/dy.
+    With overwrite, the result may be written over upstream."""
     if name == "identity":
         return upstream
+    out = upstream if overwrite else None
     if name == "relu":
-        return upstream * (y > 0.0)
-    if name == "tanh":
-        return upstream * (1.0 - y * y)
-    if name == "sigmoid":
-        return upstream * y * (1.0 - y)
+        return np.multiply(upstream, y > 0.0, out=out)
+    if name == "tanh":  # upstream * (1 - y * y)
+        factor = np.multiply(y, y)
+        np.subtract(1.0, factor, out=factor)
+        return np.multiply(upstream, factor, out=factor if out is None else out)
+    if name == "sigmoid":  # upstream * y * (1 - y)
+        out = np.multiply(upstream, y, out=out)
+        out *= 1.0 - y
+        return out
     if name == "softmax":
         # Full row-wise Jacobian: dz = y * (g - sum(g * y))
-        inner = (upstream * y).sum(axis=-1, keepdims=True)
-        return y * (upstream - inner)
+        product = upstream * y
+        inner = product.sum(axis=-1, keepdims=True)
+        out = np.subtract(upstream, inner, out=product if out is None else out)
+        out *= y
+        return out
     raise UsageError(f"unknown activation {name!r}")
 
 
@@ -62,6 +88,8 @@ class DenseLayer:
     grad_bias: np.ndarray | None = field(default=None, repr=False)
     _x: np.ndarray | None = field(default=None, repr=False)
     _y: np.ndarray | None = field(default=None, repr=False)
+    # Arrays this layer keeps for a stack's intermediate results, by role.
+    _buffers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -86,38 +114,74 @@ class DenseLayer:
     def n_out(self) -> int:
         return self.weights.shape[1]
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """act(x W + b), written into `out` when given."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.n_in:
             raise ShapeError(f"input width {x.shape[1]} != layer width {self.n_in}")
-        y = apply_activation(self.activation, x @ self.weights + self.bias)
+        z = np.matmul(x, self.weights, out=out)
+        z += self.bias
+        y = apply_activation(self.activation, z, out=z)
         if cache:
             self._x, self._y = x, y
         return y
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads from cached forward state; return dL/dx."""
+    def backward(self, upstream: np.ndarray, input_grad: bool = True,
+                 out: np.ndarray | None = None, overwrite: bool = False) -> np.ndarray | None:
+        """Accumulate parameter grads from cached forward state; return dL/dx
+        (written into `out` when given), or None without input_grad. With
+        overwrite, upstream may be written over."""
         if self._x is None:
             raise UsageError("backward() before forward(); no cached activations")
         if upstream.shape != self._y.shape:
             raise ShapeError(f"upstream shape {upstream.shape} != output {self._y.shape}")
-        dz = activation_backward(self.activation, self._y, upstream)
+        dz = activation_backward(self.activation, self._y, upstream, overwrite)
         self.grad_weights = self._x.T @ dz
         self.grad_bias = dz.sum(axis=0)
-        return dz @ self.weights.T
+        return np.matmul(dz, self.weights.T, out=out) if input_grad else None
+
+    def _buffer(self, role: str, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) array in the buffer this layer keeps for `role`,
+        grown when too small."""
+        held = self._buffers.get(role)
+        if held is None or held.size < rows * cols:
+            held = self._buffers[role] = np.empty(rows * cols)
+        return held[: rows * cols].reshape(rows, cols)
 
 
 def forward(layers: list[DenseLayer], x: np.ndarray, cache: bool = True) -> np.ndarray:
-    for layer in layers:
-        x = layer.forward(x, cache=cache)
+    """The stack's output, a fresh array. The output of each layer but the
+    last goes to a buffer that layer keeps (one for cached passes, one for
+    the rest), and is overwritten by the layer's next pass of the same kind."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    for index, layer in enumerate(layers):
+        out = None
+        if index < len(layers) - 1:
+            out = layer._buffer("y" if cache else "y_uncached", x.shape[0], layer.n_out)
+        x = layer.forward(x, cache=cache, out=out)
     return x
 
 
-def backward(layers: list[DenseLayer], upstream: np.ndarray) -> np.ndarray:
-    """Backpropagate through a stack; sets grads on each layer, returns dL/dx."""
-    for layer in reversed(layers):
-        upstream = layer.backward(upstream)
+def backward(layers: list[DenseLayer], upstream: np.ndarray,
+             input_grad: bool = True) -> np.ndarray | None:
+    """Backpropagate through a stack; sets grads on each layer, returns dL/dx
+    as a fresh array, or None without input_grad (the stack's input gradient
+    is then skipped). The gradients passed between layers go to buffers the
+    layers keep, and each layer's activation gradient overwrites them."""
+    for index in reversed(range(len(layers))):
+        layer = layers[index]
+        out = layer._buffer("dx", upstream.shape[0], layer.n_in) if index else None
+        upstream = layer.backward(upstream, input_grad=input_grad or index > 0, out=out,
+                                  overwrite=index < len(layers) - 1)
     return upstream
+
+
+def release(layers: list[DenseLayer]) -> None:
+    """Drop the layers' cached activations and kept buffers, once trained."""
+    for layer in layers:
+        layer._x = layer._y = None
+        layer._buffers.clear()
 
 
 def parameters(layers: list[DenseLayer]) -> list[np.ndarray]:
@@ -161,8 +225,13 @@ def loss_and_grad(kind: str, predicted: np.ndarray, target: np.ndarray):
         grad = (p - target) / denom / p.size
         return float(loss), grad
     if kind == "categorical_cross_entropy":
-        loss = -np.sum(target * np.log(p)) / n
-        grad = -(target / np.maximum(predicted, 1e-300)) / n
+        # loss = -sum(target * log(p)) / n;  grad = -(target / max(predicted, 1e-300)) / n
+        np.log(p, out=p)
+        loss = -np.sum(np.multiply(target, p, out=p)) / n
+        grad = np.maximum(predicted, 1e-300, out=p)
+        np.divide(target, grad, out=grad)
+        np.negative(grad, out=grad)
+        grad /= n
         return float(loss), grad
     raise UsageError(f"unknown loss kind {kind!r}")
 
@@ -182,6 +251,11 @@ class Sgd:
             p -= self.lr * g
 
 
+def _scratch_pair(params: list[np.ndarray]) -> np.ndarray:
+    """Two flat buffers as large as the largest parameter, for step temporaries."""
+    return np.empty((2, max((p.size for p in params), default=0)))
+
+
 class Adam:
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -191,22 +265,32 @@ class Adam:
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
+        self._scratch: np.ndarray | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
+            self._scratch = _scratch_pair(params)
         self.t += 1
         for p, g, m, v in zip(params, grads, self._m, self._v, strict=True):
             if p.shape != g.shape:
                 raise ShapeError(f"param {p.shape} != grad {g.shape}")
+            num, den = (s[: p.size].reshape(p.shape) for s in self._scratch)
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            # p -= lr * m_hat / (sqrt(v_hat) + eps), through two scratch buffers
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=num)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=num)
+            v += np.multiply(num, g, out=num)
+            np.divide(m, 1.0 - self.beta1**self.t, out=num)
+            num *= self.lr
+            np.divide(v, 1.0 - self.beta2**self.t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p -= num
 
 
 class RmsProp:
@@ -215,16 +299,25 @@ class RmsProp:
         self.rho = rho
         self.eps = eps
         self._acc: list[np.ndarray] | None = None
+        self._scratch: np.ndarray | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if self._acc is None:
             self._acc = [np.zeros_like(p) for p in params]
+            self._scratch = _scratch_pair(params)
         for p, g, a in zip(params, grads, self._acc, strict=True):
             if p.shape != g.shape:
                 raise ShapeError(f"param {p.shape} != grad {g.shape}")
+            num, den = (s[: p.size].reshape(p.shape) for s in self._scratch)
+            # a = rho a + (1 - rho) g g;  p -= lr * g / (sqrt(a) + eps)
             a *= self.rho
-            a += (1.0 - self.rho) * g * g
-            p -= self.lr * g / (np.sqrt(a) + self.eps)
+            np.multiply(g, 1.0 - self.rho, out=num)
+            a += np.multiply(num, g, out=num)
+            np.multiply(g, self.lr, out=num)
+            np.sqrt(a, out=den)
+            den += self.eps
+            num /= den
+            p -= num
 
 
 def make_optimizer(kind: str, lr: float, **kwargs):
@@ -247,7 +340,9 @@ def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, traini
         raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, np.ones_like(x)
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = rng.random(x.shape)  # (random >= rate) / (1 - rate)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
     return x * mask, mask
 
 

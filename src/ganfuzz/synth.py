@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,9 +16,6 @@ STRATEGIES = ("gan", "lstm", "rand_corpus", "rand_urandom")
 class SyntheticBatch:
     strategy: str
     seeds: list[bytes]
-    generation_time: float = 0.0
-    model_train_time: float = 0.0
-    novelty: list[bool] = field(default_factory=list)  # filled at reinit time
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:

@@ -81,6 +81,18 @@ class TestFuzzLoop:
         with pytest.raises(UsageError):
             fuzz_loop(FuzzerState(FuzzConfig()), MINIKEY, 10)
 
+    @pytest.mark.parametrize("field", ["havoc_per_round", "havoc_stack_max", "edge_budget"])
+    def test_config_rejects_values_below_one(self, field):
+        # havoc_per_round=0 used to make fuzz_loop spin without spending its budget.
+        for bad in (0, -1):
+            with pytest.raises(UsageError, match=field):
+                FuzzConfig(**{field: bad})
+        FuzzConfig(**{field: 1})
+
+    def test_empty_seed_raises_naming_it(self):
+        with pytest.raises(UsageError, match="seed 1 is empty"):
+            FuzzerState.from_seeds([b"MKEY", b""], MINIKEY, FuzzConfig())
+
     def test_default_seed_when_none_given(self):
         state = FuzzerState.from_seeds([], MINIKEY, FuzzConfig())
         assert state.queue[0].data == b"0"

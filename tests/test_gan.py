@@ -1,5 +1,7 @@
 """Unit tests for the adversarial seed generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,21 @@ from ganfuzz.lstm import LstmConfig, save_lstm, train_lstm
 
 _FAST = GanConfig(latent_dim=8, output_len=16, epochs=2, batch_size=16, rng_seed=0)
 _CORPUS = [bytes([i % 7]) * 16 for i in range(64)]
+
+# Dropout, the Adam/SGD pair, the gradient clip, a partial last batch (80 =
+# 2 x 32 + 16), the anneal with checkpoint selection and two restarts.
+_GOLDEN = GanConfig(latent_dim=8, output_len=24, epochs=8, batch_size=32,
+                    anneal_after_epoch=4, anneal_factor=0.9, restarts=2, rng_seed=3)
+# SHA-256 of the golden run's losses, moment score, every parameter and 64
+# generated seeds; frozen before the dense layers and optimizers computed in
+# place, which must not move a bit.
+GOLDEN_GAN_SHA256 = "8e09fe004d1cb69a4020fd61e5a57aceac64c793afbe52d07cd0ecbd88eeaca8"
+
+
+def _golden_corpus():
+    rng = np.random.Generator(np.random.PCG64(17))
+    return [b"MKEY\x01" + rng.integers(0, 256, size=int(rng.integers(8, 40)),
+                                         dtype=np.uint8).tobytes() for _ in range(80)]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +63,19 @@ class TestTrainGan:
         for pa, pb in zip(a.generator + a.discriminator, b.generator + b.discriminator):
             assert np.array_equal(pa.weights, pb.weights)
             assert np.array_equal(pa.bias, pb.bias)
+
+    def test_gan_golden_digest(self):
+        model = train_gan(_golden_corpus(), _GOLDEN)
+        h = hashlib.sha256()
+        h.update(np.asarray(model.d_losses + model.g_losses + [model.moment_score]).tobytes())
+        for layer in model.generator + model.discriminator:
+            h.update(layer.weights.tobytes())
+            h.update(layer.bias.tobytes())
+        for seed in gan_generate(model, 64, rng_seed=5).seeds:
+            h.update(seed)
+        assert len(model.d_losses) == 3 * _GOLDEN.epochs
+        assert np.isfinite(model.moment_score)
+        assert h.hexdigest() == GOLDEN_GAN_SHA256
 
     def test_default_output_len_is_clamped_median(self):
         model = train_gan([b"x" * 4] * 8, GanConfig(latent_dim=4, epochs=1, rng_seed=0))

@@ -1,5 +1,7 @@
 """Unit tests for the recurrent seed generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,31 @@ from ganfuzz.lstm import (
     train_lstm,
 )
 
+from ganfuzz.targets import build_minikey_input, build_record
+
 from oracles import FD_H
 
 _PERIODIC = [b"abc" * 100]
 _WINDOW3 = LstmConfig(hidden_width=32, dense_width=32, window=3, stride=1,
                       epochs=20, lr=0.005, rng_seed=0)
+
+
+# A partial last batch (304 windows = 12 x 24 + 16), and bytes repeated within
+# a window and within a batch.
+_GOLDEN = LstmConfig(hidden_width=16, dense_width=12, window=6, stride=2, epochs=3,
+                     batch_size=24, lr=0.005, max_gen_len=10, rng_seed=4)
+# SHA-256 of the golden run's losses, every parameter and 64 sampled seeds;
+# frozen before the recurrence wrote its steps into per-batch blocks, which
+# must not move a bit.
+GOLDEN_LSTM_SHA256 = "c03fc2a1d0e3d12f62f85537e82e2219bffbf06c938cca2bcc7062bf500354a9"
+
+
+def _golden_corpus():
+    rng = np.random.Generator(np.random.PCG64(23))
+    return [build_minikey_input(1 + k % 2, [
+        build_record(int(rng.integers(1, 4)), rng.integers(0, 256, size=int(rng.integers(1, 24)),
+                                                          dtype=np.uint8).tobytes())
+        for _ in range(1 + k % 3)]) for k in range(16)]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +68,14 @@ class TestTrainLstm:
             probs, _, _, _ = _forward_window(periodic_model, windows, cache=False)
             assert probs.argmax() == ord("c")
 
+    def test_inference_and_training_passes_agree_bitwise(self, periodic_model):
+        windows = np.random.Generator(np.random.PCG64(3)).integers(0, 256, size=(5, 3))
+        kept, h, c, steps = _forward_window(periodic_model, windows)
+        alone, h1, c1, none = _forward_window(periodic_model, windows, cache=False)
+        assert none is None
+        for a, b in ((kept, alone), (h, h1), (c, c1)):
+            assert np.array_equal(a, b)
+
     def test_loss_decreases(self, periodic_model):
         losses = periodic_model.losses
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
@@ -55,6 +85,17 @@ class TestTrainLstm:
         b = train_lstm(_PERIODIC, _WINDOW3)
         for pa, pb in zip(a.params(), b.params()):
             assert np.array_equal(pa, pb)
+
+    def test_lstm_golden_digest(self):
+        corpus = _golden_corpus()
+        model = train_lstm(corpus, _GOLDEN)
+        h = hashlib.sha256()
+        h.update(np.asarray(model.losses).tobytes())
+        for p in model.params():
+            h.update(p.tobytes())
+        for seed in lstm_generate(model, 64, 0.8, corpus, rng_seed=9).seeds:
+            h.update(seed)
+        assert h.hexdigest() == GOLDEN_LSTM_SHA256
 
     def test_bptt_gradients_match_finite_differences(self):
         model = init_lstm(LstmConfig(hidden_width=6, dense_width=5, window=4, rng_seed=11))

@@ -38,6 +38,16 @@ class TestDenseForward:
         assert np.all(nn.apply_activation("tanh", z) <= 1.0)
         assert np.all(nn.apply_activation("relu", z) >= 0.0)
 
+    @pytest.mark.parametrize("name", nn.ACTIVATIONS)
+    def test_in_place_activation_is_bit_identical(self, name):
+        z = _rng(5).normal(size=(6, 9)) * 4
+        fresh = nn.apply_activation(name, z.copy())
+        out = z.copy()
+        assert nn.apply_activation(name, out, out=out) is out
+        assert np.array_equal(out, fresh)
+        if name != "identity":
+            assert not np.shares_memory(nn.apply_activation(name, z), z)
+
     def test_shape_mismatch_raises(self):
         layer = nn.DenseLayer.create(3, 2, "relu", _rng())
         with pytest.raises(ShapeError):
@@ -76,6 +86,16 @@ class TestLosses:
         loss, _ = nn.loss_and_grad("categorical_cross_entropy", pred, target)
         assert loss >= 0.0
 
+    def test_cce_is_the_plain_expression(self):
+        rng = _rng(6)
+        pred = nn.apply_activation("softmax", rng.normal(size=(9, 5)) * 3)
+        pred[0, 1] = 0.0  # below the clamp
+        target = np.eye(5)[rng.integers(0, 5, size=9)]
+        loss, grad = nn.loss_and_grad("categorical_cross_entropy", pred, target)
+        p = np.clip(pred, nn.LOG_CLAMP, 1.0 - nn.LOG_CLAMP)
+        assert loss == float(-np.sum(target * np.log(p)) / 9)
+        assert np.array_equal(grad, -(target / np.maximum(pred, 1e-300)) / 9)
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             nn.loss_and_grad("binary_cross_entropy", np.zeros((2, 1)), np.zeros((3, 1)))
@@ -100,6 +120,47 @@ class TestBackward:
         nn.backward(layers, np.zeros((5, 2)))
         for g in nn.gradients(layers):
             np.testing.assert_allclose(g, 0.0)
+
+    def test_skipping_the_input_gradient_keeps_parameter_grads(self):
+        def grads(input_grad):
+            layers = [nn.DenseLayer.create(4, 3, "relu", _rng()),
+                      nn.DenseLayer.create(3, 2, "tanh", _rng(1))]
+            nn.forward(layers, _rng(2).normal(size=(5, 4)))
+            return nn.backward(layers, _rng(3).normal(size=(5, 2)), input_grad), \
+                nn.gradients(layers)
+
+        dx, full = grads(True)
+        none, skipped = grads(False)
+        assert dx.shape == (5, 4) and none is None
+        for a, b in zip(full, skipped):
+            assert np.array_equal(a, b)
+
+    def test_uncached_pass_between_forward_and_backward_changes_nothing(self):
+        # The stack keeps separate buffers for cached and uncached passes.
+        def grads(interleave):
+            layers = [nn.DenseLayer.create(4, 6, "relu", _rng()),
+                      nn.DenseLayer.create(6, 5, "tanh", _rng(1)),
+                      nn.DenseLayer.create(5, 1, "sigmoid", _rng(2))]
+            probs = nn.forward(layers, _rng(3).normal(size=(8, 4)))
+            if interleave:
+                nn.forward(layers, _rng(4).normal(size=(8, 4)), cache=False)
+            _, grad = nn.loss_and_grad("binary_cross_entropy", probs,
+                                       (_rng(5).random((8, 1)) > 0.5).astype(float))
+            dx = nn.backward(layers, grad)
+            return [dx] + [g.copy() for g in nn.gradients(layers)]
+
+        for a, b in zip(grads(False), grads(True)):
+            assert np.array_equal(a, b)
+
+    def test_stack_outputs_are_fresh_arrays(self):
+        layers = [nn.DenseLayer.create(3, 4, "relu", _rng()),
+                  nn.DenseLayer.create(4, 2, "identity", _rng(1))]
+        for cache in (True, False):
+            a = nn.forward(layers, _rng(2).normal(size=(5, 3)), cache=cache)
+            kept = a.copy()
+            b = nn.forward(layers, _rng(3).normal(size=(5, 3)), cache=cache)
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, kept)
 
     def test_backward_before_forward_raises(self):
         layer = nn.DenseLayer.create(2, 2, "relu", _rng())
@@ -132,6 +193,47 @@ class TestOptimizers:
         p = np.array([0.0, 0.0])
         nn.RmsProp(0.05, rho=0.0).step([p], [np.array([3.0, -7.0])])
         np.testing.assert_allclose(p, [-0.05, 0.05], rtol=1e-6)
+
+    # The steps compute through scratch buffers; the references below are
+    # the plain expressions, on parameters of several shapes.
+    _SHAPES = [(5, 3), (3,), (7, 2)]
+
+    def test_adam_matches_plain_expressions_bitwise(self):
+        rng = _rng(4)
+        params = [rng.normal(size=s) for s in self._SHAPES]
+        ref = [p.copy() for p in params]
+        m = [np.zeros(s) for s in self._SHAPES]
+        v = [np.zeros(s) for s in self._SHAPES]
+        opt = nn.Adam(0.01)
+        for t in range(1, 5):
+            grads = [rng.normal(size=s) for s in self._SHAPES]
+            opt.step(params, grads)
+            for p, g, mi, vi in zip(ref, grads, m, v):
+                mi *= 0.9
+                mi += (1.0 - 0.9) * g
+                vi *= 0.999
+                vi += (1.0 - 0.999) * g * g
+                m_hat = mi / (1.0 - 0.9**t)
+                v_hat = vi / (1.0 - 0.999**t)
+                p -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p, r)
+
+    def test_rmsprop_matches_plain_expressions_bitwise(self):
+        rng = _rng(5)
+        params = [rng.normal(size=s) for s in self._SHAPES]
+        ref = [p.copy() for p in params]
+        acc = [np.zeros(s) for s in self._SHAPES]
+        opt = nn.RmsProp(0.003)
+        for _ in range(4):
+            grads = [rng.normal(size=s) for s in self._SHAPES]
+            opt.step(params, grads)
+            for p, g, a in zip(ref, grads, acc):
+                a *= 0.9
+                a += (1.0 - 0.9) * g * g
+                p -= 0.003 * g / (np.sqrt(a) + 1e-8)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p, r)
 
     def test_shape_mismatch_raises(self):
         for opt in (nn.Sgd(0.1), nn.Adam(0.1), nn.RmsProp(0.1)):
@@ -183,6 +285,13 @@ class TestDropout:
         zero_fraction = float(np.mean(out == 0.0))
         assert 0.24 <= zero_fraction <= 0.26
         assert abs(out.mean() / x.mean() - 1.0) < 0.02
+
+    def test_mask_is_the_plain_expression(self):
+        x = _rng().normal(size=(7, 5))
+        out, mask = nn.dropout_forward(x, 0.3, _rng(2))
+        expect = (_rng(2).random(x.shape) >= 0.3) / (1.0 - 0.3)
+        assert np.array_equal(mask, expect)
+        assert np.array_equal(out, x * expect)
 
     def test_bad_rate_raises(self):
         with pytest.raises(UsageError):
