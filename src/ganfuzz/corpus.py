@@ -7,12 +7,17 @@ Layout of a corpus directory:
     queue/<worker:05d>/id-<id:06d>,src-<origin>,time-<discovered_at:020d>
 
 The manifest and the payload files must agree bijectively; every load
-verifies payload hashes so corruption is caught at the boundary.
+verifies payload hashes, and that no payload file lacks a manifest row, so
+corruption is caught at the boundary. A forced save first removes the
+directory's manifest and queue/ tree, so no payload of an earlier corpus
+outlives it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,6 +52,9 @@ def save_corpus(path: str | Path, seeds: list[SeedFile], force: bool = False) ->
     keys = [(s.worker, s.id) for s in seeds]
     if len(set(keys)) != len(keys):
         raise UsageError("duplicate (worker, id) pairs in seed list")
+    if force:  # only this corpus's own files; anything else in path stays
+        (path / MANIFEST_NAME).unlink(missing_ok=True)
+        shutil.rmtree(path / "queue", ignore_errors=True)
     path.mkdir(parents=True, exist_ok=True)
     rows = [_MANIFEST_HEADER]
     for seed in sorted(seeds, key=lambda s: (s.worker, s.id)):
@@ -72,6 +80,7 @@ def load_corpus(path: str | Path) -> list[SeedFile]:
     if not lines or lines[0] != _MANIFEST_HEADER:
         raise CorpusCorruptionError(f"bad manifest header in {manifest}")
     seeds = []
+    listed = set()
     for line in lines[1:]:
         worker_s, id_s, origin, t_s, tl_s, digest = line.split("\t")
         seed = SeedFile(
@@ -89,6 +98,12 @@ def load_corpus(path: str | Path) -> list[SeedFile]:
         if _sha256(data) != digest:
             raise CorpusCorruptionError(f"payload hash mismatch: {payload}")
         seeds.append(replace(seed, data=data))
+        listed.add(str(payload))
+    for root, _, names in os.walk(path / "queue"):
+        for name in names:
+            if os.path.join(root, name) not in listed:
+                raise CorpusCorruptionError(
+                    f"payload file without a manifest row: {os.path.join(root, name)}")
     return seeds
 
 

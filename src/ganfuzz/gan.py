@@ -71,6 +71,7 @@ def _discriminate(model_layers, x, rate, rng, training):
     return nn.forward(model_layers, x)
 
 
+@nn.one_blas_thread()
 def train_gan(corpus, config: GanConfig) -> GanModel:
     if not corpus:
         raise UsageError("train_gan needs a non-empty corpus")
@@ -203,6 +204,7 @@ def _train_gan_once(corpus, config: GanConfig, rng_seed: int) -> GanModel:
     return model
 
 
+@nn.one_blas_thread()
 def gan_generate(model: GanModel, n: int, rng_seed: int) -> SyntheticBatch:
     """Decode n generator samples to byte strings of exactly output_len bytes."""
     if n < 1:

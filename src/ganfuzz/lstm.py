@@ -221,6 +221,7 @@ def init_lstm(config: LstmConfig) -> LstmModel:
     return model
 
 
+@nn.one_blas_thread()
 def train_lstm(corpus, config: LstmConfig) -> LstmModel:
     text = np.frombuffer(corpus_bytes(corpus), dtype=np.uint8)
     if text.size <= config.window:
@@ -254,16 +255,14 @@ def train_lstm(corpus, config: LstmConfig) -> LstmModel:
     return model
 
 
-def _logits(model: LstmModel, h: np.ndarray) -> np.ndarray:
-    d = model.dense.forward(h, cache=False)
-    return d @ model.proj.weights + model.proj.bias
-
-
-def sample_distribution(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """softmax(logits / temperature); at temperature 1 this is the raw softmax."""
+def sample_distribution(logits: np.ndarray, temperature: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """softmax(logits / temperature), written into `out` when given (which may
+    be logits itself); at temperature 1 this is the raw softmax."""
     if temperature <= 0:
         raise UsageError("temperature must be > 0")
-    return nn.apply_activation("softmax", logits / temperature)
+    scaled = np.divide(logits, temperature, out=out)
+    return nn.apply_activation("softmax", scaled, out=scaled)
 
 
 def lstm_generate(model: LstmModel, n: int, temperature: float, corpus,
@@ -278,28 +277,41 @@ def lstm_generate(model: LstmModel, n: int, temperature: float, corpus,
         raise UsageError("corpus shorter than the priming window")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     positions = rng.integers(0, text.size - model.window + 1, size=n)
-    primers = np.stack([text[p : p + model.window] for p in positions]).astype(np.int64)
 
     # The model is trained many-to-one from a zero state over fixed-length
     # windows, so each next byte is predicted by re-running the trailing
     # window of context from a fresh state — the training distribution —
     # rather than carrying recurrent state past the trained rollout length.
-    context = primers
+    # Row i of `stream` is primer i followed by its sampled bytes; the
+    # context for byte t is the window ending just before it.
+    window, length = model.window, model.max_gen_len
+    stream = np.empty((n, window + length), dtype=np.int64)
+    for row, p in zip(stream, positions):
+        row[:window] = text[p : p + window]
     greedy = temperature < GREEDY_TEMPERATURE
-    out = np.empty((n, model.max_gen_len), dtype=np.uint8)
-    steps = _Steps(model.hidden_width, n, model.window, keep=False)
-    for t in range(model.max_gen_len):
-        logits = _logits(model, _recur(model, context, steps))
+    # One step's buffers, reused for every sampled byte.
+    steps = _Steps(model.hidden_width, n, window, keep=False)
+    d = np.empty((n, model.dense.n_out))
+    logits = np.empty((n, VOCAB))
+    cdf = np.empty((n, VOCAB))
+    above = np.empty((n, VOCAB), dtype=bool)
+    u = np.empty((n, 1))
+    for t in range(length):
+        h = _recur(model, stream[:, t : t + window], steps)
+        model.dense.forward(h, cache=False, out=d)
+        np.matmul(d, model.proj.weights, out=logits)  # d @ W + b
+        logits += model.proj.bias
+        nxt = stream[:, window + t]
         if greedy:
-            nxt = logits.argmax(axis=1)
+            logits.argmax(axis=1, out=nxt)
         else:
-            probs = sample_distribution(logits, temperature)
-            cdf = probs.cumsum(axis=1)
+            probs = sample_distribution(logits, temperature, out=logits)
+            np.cumsum(probs, axis=1, out=cdf)
             cdf[:, -1] = 1.0
-            u = rng.random((n, 1))
-            nxt = (u > cdf).sum(axis=1)
-        out[:, t] = nxt
-        context = np.concatenate([context[:, 1:], nxt[:, None].astype(np.int64)], axis=1)
+            rng.random(out=u)
+            np.greater(u, cdf, out=above)  # the byte is the number of cdf steps below u
+            above.sum(axis=1, out=nxt)
+    out = stream[:, window:].astype(np.uint8)
     return SyntheticBatch("lstm", [row.tobytes() for row in out])
 
 

@@ -1,16 +1,23 @@
 """Minimal dense-network machinery: layers, losses, optimizers, serialization.
 
 Everything is float64 numpy, so training runs are bit-reproducible from an
-RNG seed. numpy's matrix products may run on several BLAS threads; the
-results are the same bit for bit with one OpenBLAS thread or two. Layers,
-dropout and optimizers compute in place where they can, so that a training
-step allocates few temporaries; each in-place sequence performs the float
-operations of the plain expression in its comment, in the same order, so it
-gives the same bits.
+RNG seed. GAN and LSTM training and GAN sampling run under
+`one_blas_thread`, which puts the OpenBLAS that numpy links against on the
+calling thread for the call: their products are at most a few million
+multiply-adds, where a second BLAS thread costs more in hand-off and
+spinning than it saves. OpenBLAS splits a product by rows and columns,
+never along the inner dimension, so the results are the same bit for bit on
+one thread or more. Layers, dropout and optimizers compute in place where
+they can, so that a training step allocates few temporaries; each in-place
+sequence performs the float operations of the plain expression in its
+comment, in the same order, so it gives the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -21,6 +28,52 @@ from .errors import ShapeError, UsageError
 ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid", "softmax")
 
 LOG_CLAMP = 1e-7
+
+# (get, set) thread-count symbols of OpenBLAS builds, in lookup order: numpy
+# wheels' scipy-openblas64, other 64-bit-integer builds, plain builds.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_controls():
+    """The (get, set) thread-count functions of the OpenBLAS numpy calls, or
+    None for another BLAS or layout. Looked up on first use: a dlsym on
+    numpy's core extension searches the libraries it links against."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's matrix products on the calling thread within the block
+    (or the decorated function), then restore the caller's BLAS thread
+    count, also on an exception. A no-op when OpenBLAS is not found."""
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

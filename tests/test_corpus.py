@@ -87,6 +87,27 @@ class TestPersistence:
             save_corpus(tmp_path / "c", _random_seeds(2))
         save_corpus(tmp_path / "c", _random_seeds(2), force=True)
 
+    def test_forced_save_leaves_no_earlier_payloads(self, tmp_path):
+        d = tmp_path / "c"
+        three = [SeedFile(data=bytes([i]), id=i, origin="initial", discovered_at=i, worker=i)
+                 for i in range(3)]
+        save_corpus(d, three)
+        (d / "notes.txt").write_text("kept")
+        one = [SeedFile(data=b"z", id=7, origin="mutation", discovered_at=9)]
+        save_corpus(d, one, force=True)
+        assert [p.name for p in (d / "queue").rglob("id-*")] == [one[0].payload_name()]
+        assert load_corpus(d) == one
+        assert (d / "notes.txt").read_text() == "kept"
+
+    def test_payload_without_manifest_row_raises(self, tmp_path):
+        d = tmp_path / "c"
+        save_corpus(d, _random_seeds(3, rng_seed=5))
+        stray = d / "queue" / "00009" / "id-000001,src-mutation,time-00000000000000000001"
+        stray.parent.mkdir()
+        stray.write_bytes(b"x")
+        with pytest.raises(CorpusCorruptionError, match="without a manifest row"):
+            load_corpus(d)
+
     def test_duplicate_worker_id_pairs_raise(self, tmp_path):
         seed = SeedFile(data=b"x", id=1, origin="initial", discovered_at=0)
         with pytest.raises(UsageError):

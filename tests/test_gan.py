@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from ganfuzz import nn
 from ganfuzz.errors import UsageError
 from ganfuzz.gan import GanConfig, gan_generate, load_gan, save_gan, train_gan
 from ganfuzz.lstm import LstmConfig, save_lstm, train_lstm
@@ -22,10 +23,39 @@ _GOLDEN = GanConfig(latent_dim=8, output_len=24, epochs=8, batch_size=32,
 GOLDEN_GAN_SHA256 = "8e09fe004d1cb69a4020fd61e5a57aceac64c793afbe52d07cd0ecbd88eeaca8"
 
 
+# Products above OpenBLAS's 262,144 multiply-add cut-off for threading (512 x
+# 32 x 128 in the generator, 1024 x 64 x 64 in the discriminator, and a
+# partial last batch of 88), so that a thread-dependent rounding would show.
+_GOLDEN_WIDE = GanConfig(latent_dim=32, output_len=64, epochs=3, batch_size=512,
+                         anneal_after_epoch=1, rng_seed=7)
+# SHA-256 of that run's losses, moment score, every parameter and 512
+# generated seeds; frozen with numpy's products on two OpenBLAS threads,
+# before training ran them on one.
+GOLDEN_GAN_WIDE_SHA256 = "ba567994ea6c04d6811fda13a9722943492e5a3c4de5392ac56de4a80a01db89"
+
+
 def _golden_corpus():
     rng = np.random.Generator(np.random.PCG64(17))
     return [b"MKEY\x01" + rng.integers(0, 256, size=int(rng.integers(8, 40)),
                                          dtype=np.uint8).tobytes() for _ in range(80)]
+
+
+def _wide_corpus():
+    rng = np.random.Generator(np.random.PCG64(29))
+    return [b"MKEY\x01" + rng.integers(0, 256, size=int(rng.integers(16, 96)),
+                                         dtype=np.uint8).tobytes() for _ in range(600)]
+
+
+def _digest(model, n, rng_seed):
+    """SHA-256 of a trained model's losses, moment score, parameters and n seeds."""
+    h = hashlib.sha256()
+    h.update(np.asarray(model.d_losses + model.g_losses + [model.moment_score]).tobytes())
+    for layer in model.generator + model.discriminator:
+        h.update(layer.weights.tobytes())
+        h.update(layer.bias.tobytes())
+    for seed in gan_generate(model, n, rng_seed=rng_seed).seeds:
+        h.update(seed)
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +96,18 @@ class TestTrainGan:
 
     def test_gan_golden_digest(self):
         model = train_gan(_golden_corpus(), _GOLDEN)
-        h = hashlib.sha256()
-        h.update(np.asarray(model.d_losses + model.g_losses + [model.moment_score]).tobytes())
-        for layer in model.generator + model.discriminator:
-            h.update(layer.weights.tobytes())
-            h.update(layer.bias.tobytes())
-        for seed in gan_generate(model, 64, rng_seed=5).seeds:
-            h.update(seed)
         assert len(model.d_losses) == 3 * _GOLDEN.epochs
         assert np.isfinite(model.moment_score)
-        assert h.hexdigest() == GOLDEN_GAN_SHA256
+        assert _digest(model, 64, rng_seed=5) == GOLDEN_GAN_SHA256
+
+    @pytest.mark.parametrize("blas", ["openblas found", "openblas not found"])
+    def test_wide_gan_golden_digest(self, blas, monkeypatch):
+        if blas == "openblas not found":  # the products keep the caller's threads
+            monkeypatch.setattr(nn, "_blas_thread_controls", lambda: None)
+        model = train_gan(_wide_corpus(), _GOLDEN_WIDE)
+        assert len(model.d_losses) == 2 * _GOLDEN_WIDE.epochs
+        assert np.isfinite(model.moment_score)
+        assert _digest(model, 512, rng_seed=11) == GOLDEN_GAN_WIDE_SHA256
 
     def test_default_output_len_is_clamped_median(self):
         model = train_gan([b"x" * 4] * 8, GanConfig(latent_dim=4, epochs=1, rng_seed=0))

@@ -37,14 +37,34 @@ _GOLDEN = LstmConfig(hidden_width=16, dense_width=12, window=6, stride=2, epochs
 # frozen before the recurrence wrote its steps into per-batch blocks, which
 # must not move a bit.
 GOLDEN_LSTM_SHA256 = "c03fc2a1d0e3d12f62f85537e82e2219bffbf06c938cca2bcc7062bf500354a9"
+# Products above OpenBLAS's 262,144 multiply-add cut-off for threading: 64 x
+# 64 x 256 per training step, 500 x 64 x 256 per sampling step.
+_GOLDEN_WIDE = LstmConfig(hidden_width=64, dense_width=64, window=8, stride=3, epochs=1,
+                          batch_size=64, max_gen_len=8, rng_seed=5)
+# SHA-256 of that run's losses, every parameter and 500 seeds sampled at
+# temperature 1.0 and 500 greedily; frozen with numpy's products on two
+# OpenBLAS threads, before training and sampling ran them on one.
+GOLDEN_LSTM_WIDE_SHA256 = "7b845a96fb1b8b8ce622dcb9e3c1b56c3e076bfeafae9e4fb86d9ad16a4fc8f2"
 
 
-def _golden_corpus():
-    rng = np.random.Generator(np.random.PCG64(23))
+def _golden_corpus(seed=23, files=16):
+    rng = np.random.Generator(np.random.PCG64(seed))
     return [build_minikey_input(1 + k % 2, [
         build_record(int(rng.integers(1, 4)), rng.integers(0, 256, size=int(rng.integers(1, 24)),
                                                           dtype=np.uint8).tobytes())
-        for _ in range(1 + k % 3)]) for k in range(16)]
+        for _ in range(1 + k % 3)]) for k in range(files)]
+
+
+def _digest(model, samples):
+    """SHA-256 of a trained model's losses, parameters and sampled seeds."""
+    h = hashlib.sha256()
+    h.update(np.asarray(model.losses).tobytes())
+    for p in model.params():
+        h.update(p.tobytes())
+    for batch in samples:
+        for seed in batch.seeds:
+            h.update(seed)
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +109,18 @@ class TestTrainLstm:
     def test_lstm_golden_digest(self):
         corpus = _golden_corpus()
         model = train_lstm(corpus, _GOLDEN)
-        h = hashlib.sha256()
-        h.update(np.asarray(model.losses).tobytes())
-        for p in model.params():
-            h.update(p.tobytes())
-        for seed in lstm_generate(model, 64, 0.8, corpus, rng_seed=9).seeds:
-            h.update(seed)
-        assert h.hexdigest() == GOLDEN_LSTM_SHA256
+        assert _digest(model, [lstm_generate(model, 64, 0.8, corpus, rng_seed=9)]) \
+            == GOLDEN_LSTM_SHA256
+
+    @pytest.mark.parametrize("blas", ["openblas found", "openblas not found"])
+    def test_wide_lstm_golden_digest(self, blas, monkeypatch):
+        if blas == "openblas not found":  # the products keep the caller's threads
+            monkeypatch.setattr(nn, "_blas_thread_controls", lambda: None)
+        corpus = _golden_corpus(seed=31, files=64)
+        model = train_lstm(corpus, _GOLDEN_WIDE)
+        samples = [lstm_generate(model, 500, temperature, corpus, rng_seed=13)
+                   for temperature in (1.0, 1e-5)]
+        assert _digest(model, samples) == GOLDEN_LSTM_WIDE_SHA256
 
     def test_bptt_gradients_match_finite_differences(self):
         model = init_lstm(LstmConfig(hidden_width=6, dense_width=5, window=4, rng_seed=11))

@@ -1,10 +1,15 @@
 """Unit tests for the dense-network substrate."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from ganfuzz import nn
 from ganfuzz.errors import ShapeError, TrainingError, UsageError
+from ganfuzz.gan import GanConfig, gan_generate, train_gan
+from ganfuzz.lstm import LstmConfig, train_lstm
 
 from oracles import FD_REL_TOL, run_grad_suite
 
@@ -326,3 +331,72 @@ def test_assert_finite_raises_with_step_name():
     with pytest.raises(TrainingError, match="generator update"):
         nn.assert_finite([np.array([1.0, np.nan])], "generator update")
     nn.assert_finite([np.zeros(3)], "ok step")  # no raise
+
+
+class TestOneBlasThread:
+    _CORPUS = [b"MKEY\x01" + bytes(range(k, k + 12)) for k in range(24)]
+    _GAN = GanConfig(latent_dim=4, output_len=16, epochs=1, batch_size=8)
+    _LSTM = LstmConfig(hidden_width=4, dense_width=4, window=4, epochs=1)
+
+    @pytest.fixture
+    def blas_threads(self):
+        """The OpenBLAS thread-count getter, with the caller's count set to 2
+        for the test and put back after it."""
+        controls = nn._blas_thread_controls()
+        if controls is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS build with known symbols")
+        get, put = controls
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def _calls(self):
+        gan_model = train_gan(self._CORPUS, self._GAN)
+        return {
+            "train_gan": (lambda: train_gan(self._CORPUS, self._GAN),
+                          lambda: train_gan([], self._GAN)),
+            "gan_generate": (lambda: gan_generate(gan_model, 4, rng_seed=0),
+                             lambda: gan_generate(gan_model, 0, rng_seed=0)),
+            "train_lstm": (lambda: train_lstm(self._CORPUS, self._LSTM),
+                           lambda: train_lstm([b"MKEY"], self._LSTM)),
+        }
+
+    def test_block_runs_on_one_thread_then_restores(self, blas_threads):
+        with nn.one_blas_thread():
+            assert blas_threads() == 1
+            with nn.one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_restores_after_an_exception(self, blas_threads):
+        with pytest.raises(RuntimeError):
+            with nn.one_blas_thread():
+                raise RuntimeError
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("name", ["train_gan", "gan_generate", "train_lstm"])
+    def test_model_functions_run_on_one_thread(self, name, blas_threads, monkeypatch):
+        run, fail = self._calls()[name]
+        seen = []
+        forward = nn.DenseLayer.forward
+
+        def recording(layer, *args, **kwargs):
+            seen.append(blas_threads())
+            return forward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(nn.DenseLayer, "forward", recording)
+        run()
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+        with pytest.raises(UsageError):
+            fail()
+        assert blas_threads() == 2
+
+    def test_import_looks_nothing_up(self):
+        code = ("import ganfuzz, ganfuzz.cli, ganfuzz.experiment, ganfuzz.nn as nn; "
+                "print(nn._blas_thread_controls.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "0"
