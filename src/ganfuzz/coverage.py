@@ -44,20 +44,25 @@ _TOP = len(_BUCKET_BIT) - 1
 
 
 class CoverageMap:
-    """Global bucket-bit accumulator; mutated only through update()."""
+    """Global bucket-bit accumulator; mutated only through update().
+
+    The bits live in a bytearray, which update() indexes as Python ints;
+    `cells` is a uint8[MAP_SIZE] numpy view of the same memory.
+    """
 
     def __init__(self):
-        self.cells = np.zeros(MAP_SIZE, dtype=np.uint8)
+        self._bits = bytearray(MAP_SIZE)
+        self.cells = np.frombuffer(self._bits, dtype=np.uint8)
 
     def update(self, trace: Trace) -> bool:
         """Fold one run's hits in; True iff any previously unset bucket bit was set."""
-        cells = self.cells
+        bits = self._bits
         novel = False
         for cell, count in trace.hits.items():
             bit = _BUCKET_BIT[count if count < _TOP else _TOP]
-            seen = int(cells[cell])
+            seen = bits[cell]
             if bit & ~seen:
-                cells[cell] = seen | bit
+                bits[cell] = seen | bit
                 novel = True
         return novel
 
@@ -66,5 +71,5 @@ class CoverageMap:
 
     def copy(self) -> "CoverageMap":
         out = CoverageMap()
-        out.cells = self.cells.copy()
+        out._bits[:] = self._bits
         return out

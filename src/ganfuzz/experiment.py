@@ -266,14 +266,15 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
     worker_seeds = [plan.rng_seed * 1000 + i for i in range(plan.workers)]
     states = run_workers(plan.workers, target, seeds, plan.phase1_execs,
                          FuzzConfig(rng_seed=plan.rng_seed), worker_seeds)
-    worker_dirs = []
+    union = []
     for i, state in enumerate(states):
-        d = phase1 / f"worker-{i:02d}"
-        corpus_store.save_corpus(d, corpus_store.seeds_from_state(state, worker=i), force=force)
-        worker_dirs.append(d)
+        worker_seed_files = corpus_store.seeds_from_state(state, worker=i)
+        corpus_store.save_corpus(phase1 / f"worker-{i:02d}", worker_seed_files, force=force)
+        union.extend(worker_seed_files)
 
-    # Saved queues carry their trace lengths, so the merged seeds do too.
-    merged = corpus_store.merge(worker_dirs, out=phase1 / "merged", force=force)
+    # The queues carry their trace lengths, so the merged seeds do too.
+    merged, _ = corpus_store.dedup_content(union)
+    corpus_store.save_corpus(phase1 / "merged", merged, force=force)
     training_lengths = {s.trace_length for s in merged}
 
     models_dir = out / "models"

@@ -72,6 +72,10 @@ E_CHECKSUM_MISSING = 27
 E_TRAILING = 28
 E_DONE = 29
 
+# Map cell of every edge pair (prev, cur), from the one pair rule.
+_PAIR = tuple(tuple(edge_cell(prev, cur) for cur in range(E_DONE + 1))
+              for prev in range(E_DONE + 1))
+
 MINIKEY_MAGIC = b"MKEY"
 REC_KEY = 0x01
 REC_LABEL = 0x02
@@ -100,12 +104,18 @@ def minikey(data: bytes, edge_budget: int = DEFAULT_EDGE_BUDGET) -> ExecResult:
         # `times` repeats of `edge`: one (prev, edge) pair, then times - 1
         # (edge, edge) pairs. A zero-length run emits nothing.
         nonlocal prev, budget
+        if times == 1 and budget:  # most emits: one edge, within budget
+            cell = _PAIR[prev][edge]
+            hits[cell] = hits.get(cell, 0) + 1
+            prev = edge
+            budget -= 1
+            return
         n = times if times <= budget else budget
         if n:
-            cell = edge_cell(prev, edge)
+            cell = _PAIR[prev][edge]
             hits[cell] = hits.get(cell, 0) + 1
             if n > 1:
-                cell = edge_cell(edge, edge)
+                cell = _PAIR[edge][edge]
                 hits[cell] = hits.get(cell, 0) + n - 1
             prev = edge
             budget -= n
@@ -118,8 +128,8 @@ def minikey(data: bytes, edge_budget: int = DEFAULT_EDGE_BUDGET) -> ExecResult:
         nonlocal prev, budget
         n = min(2 * times, budget)  # edges a, b, a, b, ...
         if n:
-            for cell, count in ((edge_cell(prev, a), 1), (edge_cell(a, b), n // 2),
-                                (edge_cell(b, a), (n - 1) // 2)):
+            for cell, count in ((_PAIR[prev][a], 1), (_PAIR[a][b], n // 2),
+                                (_PAIR[b][a], (n - 1) // 2)):
                 if count:
                     hits[cell] = hits.get(cell, 0) + count
             prev = a if n % 2 else b

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ganfuzz import nn, targets
+from ganfuzz import fuzzer, nn, targets
 from ganfuzz.coverage import MAP_SIZE
 
 FD_H = 1e-5
@@ -176,3 +176,49 @@ def brute_dedup_by_length(seeds):
         else:
             kept.append(s)
     return kept, collisions
+
+
+# ---------------------------------------------------------------------------
+# Deterministic mutations
+
+
+def plain_deterministic_mutations(data: bytes, max_bytes: int):
+    """The deterministic pass enumerated longhand, repeats included: every
+    candidate's bytes, in pass order."""
+    n = min(len(data), max_bytes)
+
+    def with_bytes(changes):
+        buf = bytearray(data)
+        for i, v in changes:
+            buf[i] = v
+        return bytes(buf)
+
+    for width in (1, 2, 4):  # walking bit flips, MSB first within a byte
+        for start in range(n * 8 - width + 1):
+            buf = bytearray(data)
+            for b in range(start, start + width):
+                buf[b >> 3] ^= 0x80 >> (b & 7)
+            yield bytes(buf)
+    for width in (1, 2, 4):  # walking byte flips
+        for start in range(n - width + 1):
+            yield with_bytes((i, data[i] ^ 0xFF) for i in range(start, start + width))
+    for i in range(n):  # 8-bit arithmetic, wrapping
+        for d in range(1, fuzzer.ARITH_MAX + 1):
+            for sign in (1, -1):
+                yield with_bytes([(i, (data[i] + sign * d) & 0xFF)])
+    for i in range(n - 1):  # 16-bit little-endian arithmetic, wrapping
+        orig = data[i] | (data[i + 1] << 8)
+        for d in range(1, fuzzer.ARITH_MAX + 1):
+            for sign in (1, -1):
+                val = (orig + sign * d) & 0xFFFF
+                yield with_bytes([(i, val & 0xFF), (i + 1, val >> 8)])
+    for i in range(n):  # interesting 8-bit values
+        for v in fuzzer.INTERESTING_8:
+            if v != data[i]:
+                yield with_bytes([(i, v)])
+    for i in range(n - 1):  # interesting 16-bit values, little-endian
+        orig = data[i] | (data[i + 1] << 8)
+        for v in fuzzer.INTERESTING_16:
+            val = v & 0xFFFF
+            if val != orig:
+                yield with_bytes([(i, val & 0xFF), (i + 1, val >> 8)])

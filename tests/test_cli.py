@@ -56,6 +56,14 @@ class TestExitCodes:
         assert code == 2
         assert "seed 0 is empty" in capsys.readouterr().err
 
+    def test_negative_execs_is_usage_error(self, tmp_path, capsys):
+        seed = tmp_path / "seed.bin"
+        seed.write_bytes(b"MKEY")
+        code = main(["fuzz", "--target", "minikey", "--corpus", str(tmp_path / "o"),
+                     "--execs", "-5", "--seed-file", str(seed)])
+        assert code == 2
+        assert "exec_budget" in capsys.readouterr().err
+
     def test_corrupted_corpus_is_runtime_failure(self, mini_corpus, tmp_path, capsys):
         next((mini_corpus / "queue").rglob("id-*")).unlink()
         code = main(["dedup", "--corpus", str(mini_corpus),

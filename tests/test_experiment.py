@@ -2,7 +2,7 @@
 
 import pytest
 
-from ganfuzz.corpus import SeedFile
+from ganfuzz.corpus import SeedFile, merge
 from ganfuzz.errors import UsageError
 from ganfuzz.experiment import (
     ExperimentPlan,
@@ -216,6 +216,21 @@ class TestRunExperiment:
         assert (out / "report" / "tables.tsv").exists()
         assert (out / "report" / "tables.txt").exists()
         assert (out / "report" / "plan.cfg").exists()
+
+    def test_merged_corpus_equals_disk_merge_of_workers(self, run, tmp_path):
+        # Phase 1 merges in memory; the saved corpus must be byte for byte
+        # the one `merge` builds from the saved worker corpora.
+        out, _ = run
+        phase1 = out / "phase1"
+        workers = sorted(phase1.glob("worker-*"))
+        assert len(workers) == _MICRO_PLAN.workers
+        merge(workers, out=tmp_path / "merged")
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        assert tree(phase1 / "merged") == tree(tmp_path / "merged")
 
     def test_plan_echo_round_trips(self, run):
         out, _ = run

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ganfuzz.errors import UsageError
+from ganfuzz.experiment import default_initial_seeds
 from ganfuzz.fuzzer import (
     FuzzConfig,
     FuzzerState,
@@ -20,6 +21,8 @@ from ganfuzz.fuzzer import (
 from ganfuzz.synth import SyntheticBatch
 from ganfuzz.targets import MINIKEY
 
+from oracles import plain_deterministic_mutations
+
 # Frozen at first build: minikey, single seed "MKEY", budget 50,000, rng seed 0.
 GOLDEN_50K_DISCOVERIES = 38
 
@@ -27,10 +30,46 @@ GOLDEN_50K_DISCOVERIES = 38
 # 20,000, rng seed 0; frozen while the target still materialized its traces.
 GOLDEN_20K_QUEUE_SHA256 = "b8df29632ac0ebd045477f4f483333589a5beb62c5860a166872153b3ddb8f09"
 
+# _run_digest(...) (queue fingerprint, log and exec_count) for minikey,
+# default_initial_seeds(), budget 110,000, rng seed 0: the phase-1 crash flood
+# (2,546 entries, 2,511 of them crashes). Frozen while every deterministic
+# candidate was still executed, repeats included.
+GOLDEN_CRASH_FLOOD_SHA256 = "d439535a9bbfcf94bfb2b24cf7d97728683bc77b361891d4495123010e92929c"
+
 
 def _queue_fingerprint(state):
     return [(e.id, e.data, e.origin, e.discovered_at, e.trace_length, e.outcome)
             for e in state.queue]
+
+
+def _run_digest(state):
+    return hashlib.sha256(repr((_queue_fingerprint(state), state.log,
+                                state.exec_count)).encode()).hexdigest()
+
+
+def _resolved(data, max_bytes):
+    """The pass's candidates with each repeat replaced by the bytes it repeats."""
+    out = []
+    for candidate in deterministic_mutations(data, max_bytes):
+        out.append(out[candidate] if isinstance(candidate, int) else candidate)
+    return out
+
+
+def _dedup_inputs():
+    """300+ inputs rich in 0x00/0x7f/0x80/0xff bytes (where carries and
+    interesting values collide), including 1- and 2-byte ones."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    edges = np.array([0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF], dtype=np.uint8)
+    inputs = [bytes([b]) for b in (0x00, 0x7F, 0x80, 0xFF, 0x41)]
+    inputs += [bytes([a, b]) for a in (0x00, 0x7F, 0x80, 0xFF) for b in (0x00, 0x7F, 0x80, 0xFF)]
+    inputs += [b"MKEY", bytes(range(256))]
+    while len(inputs) < 320:
+        n = int(rng.integers(1, 24))
+        data = rng.integers(0, 256, n, dtype=np.uint8)
+        pick = rng.random(n) < 0.6
+        data[pick] = rng.choice(edges, int(pick.sum()))
+        inputs.append(data.tobytes())
+    return inputs
 
 
 class TestDeterministicMutations:
@@ -43,13 +82,36 @@ class TestDeterministicMutations:
         assert b"\x00" in muts  # 0xFF + 1 wraps to 0x00
 
     def test_mutations_preserve_length(self):
-        for m in deterministic_mutations(b"abcd", 512):
+        for m in _resolved(b"abcd", 512):
             assert len(m) == 4
 
     def test_prefix_cap_respected(self):
         # With max_bytes=2, no mutation touches byte 2 onward.
-        for m in deterministic_mutations(b"ab" + b"Z" * 6, 2):
+        for m in _resolved(b"ab" + b"Z" * 6, 2):
             assert m[2:] == b"Z" * 6
+
+    @pytest.mark.parametrize("max_bytes", [1, 3, 512])
+    def test_repeats_are_exact(self, max_bytes):
+        # Against the longhand pass: the same candidates in the same order;
+        # every index yielded points to an earlier candidate with equal bytes,
+        # yielded as bytes (soundness), and no two yielded byte strings are
+        # equal (completeness).
+        repeats = 0
+        for data in _dedup_inputs():
+            plain = list(plain_deterministic_mutations(data, max_bytes))
+            got = list(deterministic_mutations(data, max_bytes))
+            assert len(got) == len(plain), data
+            yielded = set()
+            for k, (candidate, expect) in enumerate(zip(got, plain)):
+                if isinstance(candidate, int):
+                    assert 0 <= candidate < k and plain[candidate] == expect, (data, k)
+                    assert got[candidate] == expect, (data, k)
+                    repeats += 1
+                else:
+                    assert candidate == expect, (data, k)
+                    assert candidate not in yielded, (data, k)
+                    yielded.add(candidate)
+        assert repeats > 0
 
 
 class TestHavoc:
@@ -76,6 +138,11 @@ class TestFuzzLoop:
         before = _queue_fingerprint(state)
         assert fuzz_loop(state, MINIKEY, 0) == []
         assert _queue_fingerprint(state) == before
+
+    def test_negative_budget_raises(self):
+        state = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=0))
+        with pytest.raises(UsageError, match="exec_budget"):
+            fuzz_loop(state, MINIKEY, -5)
 
     def test_empty_queue_raises(self):
         with pytest.raises(UsageError):
@@ -134,6 +201,25 @@ class TestFuzzLoop:
         assert _queue_fingerprint(split) == _queue_fingerprint(single)
         assert split.log == single.log
         assert split.exec_count == single.exec_count == 60_001
+
+    def test_golden_crash_flood_digest(self):
+        state = FuzzerState.from_seeds(default_initial_seeds(), MINIKEY, FuzzConfig(rng_seed=0))
+        fuzz_loop(state, MINIKEY, 110_000)
+        assert len(state.crashes) == 2_511
+        assert _run_digest(state) == GOLDEN_CRASH_FLOOD_SHA256
+
+    def test_split_budget_crash_flood(self):
+        # The last five cuts land in deterministic passes over crash entries
+        # with crashes already admitted, whose repeats the resumed pass must
+        # still admit.
+        state = FuzzerState.from_seeds(default_initial_seeds(), MINIKEY, FuzzConfig(rng_seed=0))
+        carried = 0
+        for budget in (60_000, 45_000, 2_437, 1_000, 555, 321, 687):
+            fuzz_loop(state, MINIKEY, budget)
+            entry, done, crashes = state._round
+            carried += entry.outcome == "crash" and not entry.det_done and bool(crashes)
+        assert carried == 5
+        assert _run_digest(state) == GOLDEN_CRASH_FLOOD_SHA256
 
     def test_virtual_time_strictly_increasing(self):
         state = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=1))
