@@ -11,6 +11,13 @@ verifies payload hashes, and that no payload file lacks a manifest row, so
 corruption is caught at the boundary. A forced save first removes the
 directory's manifest and queue/ tree, so no payload of an earlier corpus
 outlives it.
+
+Payloads with equal bytes, written in one run (one save, or every save of
+one `run_experiment`) or by `merge` (to its inputs), are hard links to one
+file, with a copy where the filesystem has none. A save never writes
+through an existing file: a new payload is created exclusively, and a link
+is kept only once its bytes read back equal. Treat payload files as
+read-only; loads still verify every hash.
 """
 
 from __future__ import annotations
@@ -45,25 +52,65 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def save_corpus(path: str | Path, seeds: list[SeedFile], force: bool = False) -> Path:
+def _queue_root(path: str | Path) -> str:
+    return os.path.join(os.path.realpath(path), "queue")
+
+
+def _write_payload(dst: str, data: bytes, digest: str, written: dict[str, str]) -> None:
+    """Hard-link dst to a recorded file holding data, or create it exclusively."""
+    src = written.get(digest)
+    if src is not None:
+        try:
+            os.link(src, dst)
+        except OSError:  # no hard links here, another device, or the source is gone
+            pass
+        else:
+            with open(dst, "rb") as f:
+                if f.read() == data:
+                    return
+            os.unlink(dst)  # the source was rewritten after it was recorded
+    with open(dst, "xb") as f:
+        f.write(data)
+    written[digest] = dst
+
+
+def save_corpus(path: str | Path, seeds: list[SeedFile], force: bool = False,
+                written: dict[str, str] | None = None) -> Path:
+    """Write seeds as a corpus directory (layout in the module docstring).
+
+    `written` maps a payload's sha256 hex to a file that already holds those
+    bytes; a payload found there is hard-linked to it, and every file this
+    save creates is added. Pass one dict to several saves to share payloads
+    between corpora; without one, duplicates within this save are shared.
+    """
     path = Path(path)
     if path.exists() and any(path.iterdir()) and not force:
         raise UsageError(f"output directory {path} is not empty (use force)")
     keys = [(s.worker, s.id) for s in seeds]
     if len(set(keys)) != len(keys):
         raise UsageError("duplicate (worker, id) pairs in seed list")
+    if written is None:
+        written = {}
+    queue = _queue_root(path)
     if force:  # only this corpus's own files; anything else in path stays
         (path / MANIFEST_NAME).unlink(missing_ok=True)
-        shutil.rmtree(path / "queue", ignore_errors=True)
+        shutil.rmtree(queue, ignore_errors=True)
+        prefix = queue + os.sep
+        for digest in [d for d, p in written.items() if p.startswith(prefix)]:
+            del written[digest]
     path.mkdir(parents=True, exist_ok=True)
     rows = [_MANIFEST_HEADER]
+    wdir, worker = "", None
     for seed in sorted(seeds, key=lambda s: (s.worker, s.id)):
-        wdir = path / "queue" / f"{seed.worker:05d}"
-        wdir.mkdir(parents=True, exist_ok=True)
-        (wdir / seed.payload_name()).write_bytes(seed.data)
+        if seed.worker != worker:
+            worker = seed.worker
+            wdir = os.path.join(queue, f"{worker:05d}")
+            os.makedirs(wdir, exist_ok=True)
+        digest = _sha256(seed.data)
+        _write_payload(os.path.join(wdir, seed.payload_name()), seed.data, digest, written)
         tl = "" if seed.trace_length is None else str(seed.trace_length)
         rows.append(
-            f"{seed.worker}\t{seed.id}\t{seed.origin}\t{seed.discovered_at}\t{tl}\t{_sha256(seed.data)}"
+            f"{seed.worker}\t{seed.id}\t{seed.origin}\t{seed.discovered_at}\t{tl}\t{digest}"
         )
     (path / MANIFEST_NAME).write_text("\n".join(rows) + "\n")
     return path
@@ -168,14 +215,20 @@ def merge(dirs: list[str | Path], out: str | Path | None = None,
     if not dirs:
         raise UsageError("merge needs at least one corpus directory")
     union: list[SeedFile] = []
+    written: dict[str, str] = {}  # each output payload links to an input file
     for d in dirs:
         try:
-            union.extend(load_corpus(d))
+            seeds = load_corpus(d)
         except CorpusCorruptionError as exc:
             raise CorpusCorruptionError(f"corrupt corpus dir {d}: {exc}") from exc
+        queue = _queue_root(d)
+        for s in seeds:
+            written.setdefault(_sha256(s.data),
+                               os.path.join(queue, f"{s.worker:05d}", s.payload_name()))
+        union.extend(seeds)
     merged, _ = dedup_content(union)
     if out is not None:
-        save_corpus(out, merged, force=force)
+        save_corpus(out, merged, force=force, written=written)
     return merged
 
 

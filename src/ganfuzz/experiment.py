@@ -64,24 +64,20 @@ def compute_report(seeds, training_lengths: set[int], strategy: str = "",
                    all_seeds_stats: bool = False) -> StrategyReport:
     """Per-strategy metrics over an analyzed seed list.
 
-    Length statistics cover the unique-length representative set (earliest
-    discovery per length) unless all_seeds_stats is set.
+    Length statistics cover the distinct trace lengths, each once, unless
+    all_seeds_stats is set.
     """
     if not seeds:
         raise UsageError("compute_report needs a non-empty seed list")
     for s in seeds:
         if s.trace_length is None:
             raise UsageError("all seeds must be analyzed (trace_length present)")
-    ordered = sorted(seeds, key=lambda s: (s.worker, s.id))
-    representatives: dict[int, int] = {}
-    for s in ordered:
-        representatives.setdefault(s.trace_length, s.trace_length)
-    distinct = set(representatives)
-    stat_lengths = (
-        np.array([s.trace_length for s in ordered], dtype=np.float64)
-        if all_seeds_stats
-        else np.array(sorted(distinct), dtype=np.float64)
-    )
+    distinct = {s.trace_length for s in seeds}
+    if all_seeds_stats:
+        ordered = sorted(seeds, key=lambda s: (s.worker, s.id))
+        stat_lengths = np.array([s.trace_length for s in ordered], dtype=np.float64)
+    else:
+        stat_lengths = np.array(sorted(distinct), dtype=np.float64)
     return StrategyReport.from_counts(
         strategy=strategy,
         seed_count=len(seeds),
@@ -254,7 +250,11 @@ def _make_batch(strategy: str, train_corpus, plan: ExperimentPlan, rng_seed: int
 def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
                    initial_seeds: list[bytes] | None = None,
                    force: bool = False) -> dict[str, StrategyReport]:
-    """Run the full protocol; persists every artifact under out_dir."""
+    """Run the full protocol; persists every artifact under out_dir.
+
+    Every corpus save shares one payload record, so each distinct payload
+    is written once and its repeats are hard links (see `corpus`).
+    """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         raise UsageError(f"run directory {out} is not empty (use force)")
@@ -266,15 +266,17 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
     worker_seeds = [plan.rng_seed * 1000 + i for i in range(plan.workers)]
     states = run_workers(plan.workers, target, seeds, plan.phase1_execs,
                          FuzzConfig(rng_seed=plan.rng_seed), worker_seeds)
+    written: dict[str, str] = {}  # payload sha256 -> a file holding it
     union = []
     for i, state in enumerate(states):
         worker_seed_files = corpus_store.seeds_from_state(state, worker=i)
-        corpus_store.save_corpus(phase1 / f"worker-{i:02d}", worker_seed_files, force=force)
+        corpus_store.save_corpus(phase1 / f"worker-{i:02d}", worker_seed_files,
+                                 force=force, written=written)
         union.extend(worker_seed_files)
 
     # The queues carry their trace lengths, so the merged seeds do too.
     merged, _ = corpus_store.dedup_content(union)
-    corpus_store.save_corpus(phase1 / "merged", merged, force=force)
+    corpus_store.save_corpus(phase1 / "merged", merged, force=force, written=written)
     training_lengths = {s.trace_length for s in merged}
 
     models_dir = out / "models"
@@ -302,8 +304,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
 
         discovered = [e for e in state.queue if e.id not in baseline_ids]
         strat_dir = out / "phase2" / strategy
-        corpus_store.save_corpus(
-            strat_dir, corpus_store.seeds_from_state(state), force=force)
+        corpus_store.save_corpus(strat_dir, corpus_store.seeds_from_state(state),
+                                 force=force, written=written)
         if discovered:
             discovered_seeds = [
                 corpus_store.SeedFile(data=e.data, id=e.id, origin=e.origin,

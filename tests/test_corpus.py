@@ -1,8 +1,14 @@
 """Unit tests for the on-disk corpus format, merge, and deduplication."""
 
+import errno
+import hashlib
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ganfuzz.corpus as corpus_module
 from ganfuzz.corpus import (
     MANIFEST_NAME,
     SeedFile,
@@ -114,6 +120,121 @@ class TestPersistence:
             save_corpus(tmp_path / "c", [seed, seed])
 
 
+def _other_workers(seeds, offset=10):
+    return [replace(s, worker=s.worker + offset) for s in seeds]
+
+
+def _payloads(d):
+    return sorted(p for p in (d / "queue").rglob("id-*"))
+
+
+def _inodes(d):
+    return {p.stat().st_ino for p in _payloads(d)}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _seeds(datas, worker=0):
+    return [SeedFile(data=d, id=i, origin="mutation", discovered_at=i, worker=worker)
+            for i, d in enumerate(datas)]
+
+
+class TestSharedPayloads:
+    def test_equal_payloads_in_one_save_share_an_inode(self, tmp_path):
+        seeds = _seeds([b"a", b"b", b"a", b"a"]) + _seeds([b"b", b"c"], worker=3)
+        save_corpus(tmp_path / "c", seeds)
+        assert len(_payloads(tmp_path / "c")) == 6
+        assert len(_inodes(tmp_path / "c")) == 3
+        assert load_corpus(tmp_path / "c") == seeds
+
+    def test_shared_record_links_across_saves(self, tmp_path):
+        written = {}
+        a = _seeds([b"x", b"y"])
+        b = _seeds([b"y", b"z", b"x"], worker=1)
+        save_corpus(tmp_path / "a", a, written=written)
+        save_corpus(tmp_path / "b", b, written=written)
+        assert _inodes(tmp_path / "a") < _inodes(tmp_path / "b")
+        assert len(_inodes(tmp_path / "b")) == 3
+        assert set(written) == {_sha(d) for d in (b"x", b"y", b"z")}
+        assert load_corpus(tmp_path / "a") == a and load_corpus(tmp_path / "b") == b
+
+    @pytest.mark.parametrize("same_record", [True, False])
+    def test_forced_resave_keeps_a_linked_corpus(self, tmp_path, same_record):
+        written = {}
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        a = _seeds([b"one", b"two", b"three"])
+        b = [replace(s, id=s.id + 10, worker=1) for s in a]
+        save_corpus(a_dir, a, written=written)
+        save_corpus(b_dir, b, written=written)
+        assert _inodes(a_dir) == _inodes(b_dir)
+        # Same payload names as before, other bytes.
+        a2 = [replace(s, data=s.data + b"!") for s in a]
+        save_corpus(a_dir, a2, force=True, written=written if same_record else None)
+        assert [p.name for p in _payloads(a_dir)] == sorted(s.payload_name() for s in a)
+        assert load_corpus(b_dir) == b
+        assert load_corpus(a_dir) == a2
+        assert not _inodes(a_dir) & _inodes(b_dir)
+        if same_record:  # the cleared tree's entries are gone, the new ones recorded
+            a_queue = os.path.join(os.path.realpath(a_dir), "queue")
+            assert {written[_sha(s.data)] for s in a2} == {
+                os.path.join(a_queue, "00000", s.payload_name()) for s in a2}
+            assert not {_sha(s.data) for s in a} & set(written)
+
+    def test_stale_record_never_links_wrong_bytes(self, tmp_path):
+        written = {}
+        a_dir = tmp_path / "a"
+        save_corpus(a_dir, _seeds([b"old", b"gone"]), written=written)
+        # Rewritten through another record: `written` still names a's paths.
+        save_corpus(a_dir, _seeds([b"new"]), force=True)
+        # A hand-made entry for bytes the named file does not hold.
+        (tmp_path / "other").write_bytes(b"other")
+        written[_sha(b"hand")] = str(tmp_path / "other")
+        c = _seeds([b"old", b"gone", b"hand", b"new"])
+        save_corpus(tmp_path / "c", c, written=written)
+        assert load_corpus(tmp_path / "c") == c
+        assert not _inodes(tmp_path / "c") & _inodes(a_dir)
+        assert (tmp_path / "other").read_bytes() == b"other"
+        c_queue = os.path.join(os.path.realpath(tmp_path / "c"), "queue", "00000")
+        for s in c[:3]:  # each stale entry now names the fresh file
+            assert written[_sha(s.data)] == os.path.join(c_queue, s.payload_name())
+
+    @pytest.mark.parametrize("linked", [True, False])
+    def test_existing_file_at_payload_path_is_not_truncated(self, tmp_path, monkeypatch,
+                                                            linked):
+        written = {}
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        a = _seeds([b"keep"])
+        save_corpus(a_dir, a, written=written)
+        save_corpus(b_dir, _seeds([b"keep"], worker=1), written=written)
+        if linked:  # the new bytes have a recorded file to link from
+            save_corpus(tmp_path / "src", _seeds([b"clobber"], worker=2), written=written)
+        # A clear that leaves the old payload in place.
+        monkeypatch.setattr(corpus_module.shutil, "rmtree", lambda *a, **k: None)
+        with pytest.raises(FileExistsError):
+            save_corpus(a_dir, _seeds([b"clobber"]), force=True, written=written)
+        assert _payloads(a_dir)[0].read_bytes() == b"keep"
+        assert load_corpus(b_dir) == _seeds([b"keep"], worker=1)
+
+    @pytest.mark.parametrize("error", [OSError(errno.EXDEV, "Invalid cross-device link"),
+                                       PermissionError(errno.EPERM, "Operation not permitted")])
+    def test_falls_back_to_copies_without_hard_links(self, tmp_path, monkeypatch, error):
+        def no_link(src, dst):
+            raise error
+
+        monkeypatch.setattr(os, "link", no_link)
+        written = {}
+        a = _seeds([b"p", b"q", b"p"])
+        b = _seeds([b"q", b"p"], worker=1)
+        save_corpus(tmp_path / "a", a, written=written)
+        save_corpus(tmp_path / "b", b, written=written)
+        assert load_corpus(tmp_path / "a") == a and load_corpus(tmp_path / "b") == b
+        files = _payloads(tmp_path / "a") + _payloads(tmp_path / "b")
+        assert len({p.stat().st_ino for p in files}) == len(files) == 5
+        assert all(p.stat().st_nlink == 1 for p in files)
+
+
 class TestDedupContent:
     def test_matches_brute_force_oracle(self):
         seeds = _random_seeds(1000, rng_seed=7)
@@ -219,3 +340,27 @@ class TestMerge:
         save_corpus(tmp_path / "a", seeds)
         merged = merge([tmp_path / "a"], out=tmp_path / "m")
         assert len(load_corpus(tmp_path / "m")) == len(merged)
+
+    def test_output_payloads_link_to_their_inputs(self, tmp_path):
+        a = _random_seeds(40, rng_seed=15, workers=2)
+        b = _other_workers(_random_seeds(40, rng_seed=16, workers=3))
+        save_corpus(tmp_path / "a", a)
+        save_corpus(tmp_path / "b", b)
+        merged = merge([tmp_path / "a", tmp_path / "b"], out=tmp_path / "m")
+        expected, _ = dedup_content(a + b)
+        assert sorted(load_corpus(tmp_path / "m"), key=lambda s: (s.worker, s.id)) == \
+            merged == expected
+        sources = {}
+        for p in _payloads(tmp_path / "a") + _payloads(tmp_path / "b"):
+            sources.setdefault(_sha(p.read_bytes()), set()).add(p.stat().st_ino)
+        for p in _payloads(tmp_path / "m"):
+            assert p.stat().st_ino in sources[_sha(p.read_bytes())]
+
+    def test_forced_merge_into_an_input(self, tmp_path):
+        a = _random_seeds(30, rng_seed=17, workers=2)
+        b = _other_workers(_random_seeds(30, rng_seed=18, workers=2))
+        save_corpus(tmp_path / "a", a)
+        save_corpus(tmp_path / "b", b)
+        merged = merge([tmp_path / "a", tmp_path / "b"], out=tmp_path / "a", force=True)
+        assert sorted(load_corpus(tmp_path / "a"), key=lambda s: (s.worker, s.id)) == merged
+        assert load_corpus(tmp_path / "b") == sorted(b, key=lambda s: (s.worker, s.id))

@@ -1,5 +1,7 @@
 """Unit tests for metrics formulas, plan files, and the orchestrated run."""
 
+import hashlib
+
 import pytest
 
 from ganfuzz.corpus import SeedFile, merge
@@ -182,6 +184,25 @@ _MICRO_PLAN = ExperimentPlan(
 )
 
 
+# SHA-256 of repr(_corpus_artifacts(run dir)) for _MICRO_PLAN, computed
+# before payloads were shared through hard links.
+GOLDEN_RUN_ARTIFACTS_SHA256 = "808883ca0cf1b3588f33dd72f03f73cc690db32a378437da3e36ab3c3facaed6"
+
+
+def _corpus_artifacts(run_dir):
+    """(corpus dir, manifest text) and (corpus dir, payload name, sha256) rows."""
+    rows = []
+    for manifest in sorted(run_dir.rglob("manifest.tsv")):
+        d = manifest.parent
+        rel = d.relative_to(run_dir).as_posix()
+        rows.append((rel, "manifest.tsv", manifest.read_text()))
+        for p in sorted((d / "queue").rglob("*")):
+            if p.is_file():
+                rows.append((rel, p.relative_to(d).as_posix(),
+                             hashlib.sha256(p.read_bytes()).hexdigest()))
+    return rows
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     out = tmp_path_factory.mktemp("exp") / "run"
@@ -231,6 +252,20 @@ class TestRunExperiment:
                     for p in root.rglob("*") if p.is_file()}
 
         assert tree(phase1 / "merged") == tree(tmp_path / "merged")
+
+    def test_golden_corpus_artifacts(self, run):
+        out, _ = run
+        rows = _corpus_artifacts(out)
+        assert len(rows) == 164
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_RUN_ARTIFACTS_SHA256
+
+    def test_each_distinct_payload_is_one_file(self, run):
+        out, _ = run
+        payloads = [p for p in out.rglob("id-*") if p.is_file()]
+        assert len(payloads) == 156
+        inodes = {p.stat().st_ino for p in payloads}
+        digests = {hashlib.sha256(p.read_bytes()).digest() for p in payloads}
+        assert len(inodes) == len(digests) == 99
 
     def test_plan_echo_round_trips(self, run):
         out, _ = run
