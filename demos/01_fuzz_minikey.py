@@ -20,8 +20,8 @@ def main() -> None:
               f"queue {len(state.queue)}, crashes {len(state.crashes)}")
 
     print("\nlast admissions (exec_count, id, origin, trace_length, novel):")
-    for line in state.log[-5:]:
-        print(" ", line.replace("\t", "  "))
+    for e in state.queue[-5:]:
+        print(f"  {e.discovered_at}  {e.id}  {e.origin}  {e.trace_length}  {int(e.novel)}")
 
     longest = max(state.queue, key=lambda e: e.trace_length)
     print(f"\nlongest path: {longest.trace_length} edges from {longest.data[:24]!r}")

@@ -22,7 +22,7 @@ from ganfuzz.targets import MINIKEY
 
 
 def main() -> None:
-    states = run_workers(2, MINIKEY, [b"MKEY"], 30_000, FuzzConfig(), [1, 2])
+    states = run_workers(2, MINIKEY, [b"MKEY"], 30_000, FuzzConfig(rng_seed=1))
     with tempfile.TemporaryDirectory() as tmp:
         dirs = []
         for i, state in enumerate(states):

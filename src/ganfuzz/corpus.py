@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import CorpusCorruptionError, UsageError
-from .targets import TargetProgram, execute
+from .targets import DEFAULT_EDGE_BUDGET, TargetProgram, execute
 
 MANIFEST_NAME = "manifest.tsv"
 _MANIFEST_HEADER = "worker\tid\torigin\tdiscovered_at\ttrace_length\tsha256"
@@ -174,7 +174,7 @@ def dedup_content(seeds: list[SeedFile]) -> tuple[list[SeedFile], int]:
 
 
 def ensure_trace_lengths(seeds: list[SeedFile], target: TargetProgram,
-                         edge_budget: int = 1_000_000) -> list[SeedFile]:
+                         edge_budget: int = DEFAULT_EDGE_BUDGET) -> list[SeedFile]:
     """Fill in trace_length by execution where missing."""
     out = []
     for seed in seeds:
@@ -186,7 +186,7 @@ def ensure_trace_lengths(seeds: list[SeedFile], target: TargetProgram,
 
 
 def dedup_by_length(seeds: list[SeedFile], target: TargetProgram,
-                    edge_budget: int = 1_000_000) -> tuple[list[SeedFile], int]:
+                    edge_budget: int = DEFAULT_EDGE_BUDGET) -> tuple[list[SeedFile], int]:
     """Keep one representative per distinct trace length (earliest discovery).
 
     Distinct lengths lower-bound distinct code paths; collisions are counted,
@@ -210,11 +210,15 @@ def merge(dirs: list[str | Path], out: str | Path | None = None,
           force: bool = False) -> list[SeedFile]:
     """Union worker corpus dirs, content-dedup, optionally persist the result.
 
+    A dir holding a (worker, id) that an earlier dir already holds (every
+    `ganfuzz fuzz` corpus is worker 0) has its worker numbers shifted past
+    the largest seen so far; the earlier dir still wins a content tie.
     Length dedup is a reporting choice and is deliberately not applied here.
     """
     if not dirs:
         raise UsageError("merge needs at least one corpus directory")
     union: list[SeedFile] = []
+    used: set[tuple[int, int]] = set()
     written: dict[str, str] = {}  # each output payload links to an input file
     for d in dirs:
         try:
@@ -225,6 +229,10 @@ def merge(dirs: list[str | Path], out: str | Path | None = None,
         for s in seeds:
             written.setdefault(_sha256(s.data),
                                os.path.join(queue, f"{s.worker:05d}", s.payload_name()))
+        if any((s.worker, s.id) in used for s in seeds):
+            shift = max(worker for worker, _ in used) + 1
+            seeds = [replace(s, worker=s.worker + shift) for s in seeds]
+        used.update((s.worker, s.id) for s in seeds)
         union.extend(seeds)
     merged, _ = dedup_content(union)
     if out is not None:

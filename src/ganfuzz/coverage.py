@@ -65,11 +65,3 @@ class CoverageMap:
                 bits[cell] = seen | bit
                 novel = True
         return novel
-
-    def merge(self, other: "CoverageMap") -> None:
-        self.cells |= other.cells
-
-    def copy(self) -> "CoverageMap":
-        out = CoverageMap()
-        out._bits[:] = self._bits
-        return out

@@ -60,12 +60,10 @@ class StrategyReport:
 
 
 def compute_report(seeds, training_lengths: set[int], strategy: str = "",
-                   execs: int = 0, wall: float = 0.0, train_wall: float = 0.0,
-                   all_seeds_stats: bool = False) -> StrategyReport:
+                   execs: int = 0, wall: float = 0.0, train_wall: float = 0.0) -> StrategyReport:
     """Per-strategy metrics over an analyzed seed list.
 
-    Length statistics cover the distinct trace lengths, each once, unless
-    all_seeds_stats is set.
+    Length statistics cover the distinct trace lengths, each once.
     """
     if not seeds:
         raise UsageError("compute_report needs a non-empty seed list")
@@ -73,11 +71,7 @@ def compute_report(seeds, training_lengths: set[int], strategy: str = "",
         if s.trace_length is None:
             raise UsageError("all seeds must be analyzed (trace_length present)")
     distinct = {s.trace_length for s in seeds}
-    if all_seeds_stats:
-        ordered = sorted(seeds, key=lambda s: (s.worker, s.id))
-        stat_lengths = np.array([s.trace_length for s in ordered], dtype=np.float64)
-    else:
-        stat_lengths = np.array(sorted(distinct), dtype=np.float64)
+    stat_lengths = np.array(sorted(distinct), dtype=np.float64)
     return StrategyReport.from_counts(
         strategy=strategy,
         seed_count=len(seeds),
@@ -263,9 +257,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
 
     # Phase 1: independent workers build the training corpus.
     phase1 = out / "phase1"
-    worker_seeds = [plan.rng_seed * 1000 + i for i in range(plan.workers)]
     states = run_workers(plan.workers, target, seeds, plan.phase1_execs,
-                         FuzzConfig(rng_seed=plan.rng_seed), worker_seeds)
+                         FuzzConfig(rng_seed=plan.rng_seed * 1000))
     written: dict[str, str] = {}  # payload sha256 -> a file holding it
     union = []
     for i, state in enumerate(states):

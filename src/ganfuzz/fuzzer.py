@@ -12,13 +12,13 @@ A deterministic candidate equal to an earlier one of its pass (an arith or
 interesting value a bit flip already wrote, say) is charged one exec of
 virtual time but not run again, as AFL skips such candidates: it could set
 no new coverage bit, so it is admitted only if its first occurrence crashed,
-with that occurrence's outcome. Queues, logs and exec counts are those of a
-loop that runs every candidate.
+with that occurrence's outcome. Queues and exec counts are those of a loop
+that runs every candidate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator
 
@@ -26,9 +26,12 @@ import numpy as np
 
 from .coverage import CoverageMap
 from .errors import UsageError
-from .targets import OUTCOME_CRASH, TargetProgram, execute
+from .targets import DEFAULT_EDGE_BUDGET, OUTCOME_CRASH, TargetProgram, execute
 
 MAX_INPUT_LEN = 4096
+HAVOC_PER_ROUND = 64  # havoc execs per round on an entry whose pass is done
+HAVOC_STACK_MAX = 8  # a havoc candidate stacks 1..HAVOC_STACK_MAX mutations
+DET_MAX_BYTES = 512  # the deterministic pass covers at most this prefix
 
 INTERESTING_8 = (0, 1, 16, 32, 64, 100, 127, 128, 255)
 INTERESTING_16 = (0, 1, -1, 255, 256, 512, 1000, 32767, 65535)
@@ -52,17 +55,11 @@ class QueueEntry:
 @dataclass
 class FuzzConfig:
     rng_seed: int = 0
-    max_len: int = MAX_INPUT_LEN
-    havoc_per_round: int = 64
-    havoc_stack_max: int = 8
-    edge_budget: int = 1_000_000
-    det_max_bytes: int = 512  # deterministic stage covers at most this prefix
+    edge_budget: int = DEFAULT_EDGE_BUDGET
 
     def __post_init__(self):
-        # A havoc round of 0 execs would never spend the loop's budget.
-        for name in ("havoc_per_round", "havoc_stack_max", "edge_budget"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"FuzzConfig.{name} must be >= 1, got {getattr(self, name)}")
+        if self.edge_budget < 1:
+            raise UsageError(f"FuzzConfig.edge_budget must be >= 1, got {self.edge_budget}")
 
 
 class FuzzerState:
@@ -73,7 +70,6 @@ class FuzzerState:
         self.rng = np.random.Generator(np.random.PCG64(config.rng_seed))
         self.exec_count = 0
         self.crashes: list[QueueEntry] = []
-        self.log: list[str] = []
         self._cursor = 0
         # The entry whose deterministic pass or havoc round a budget cut short,
         # how many of its candidates ran, and the crash entries they admitted
@@ -118,9 +114,6 @@ class FuzzerState:
         self.queue.append(entry)
         if outcome == OUTCOME_CRASH:
             self.crashes.append(entry)
-        self.log.append(
-            f"{self.exec_count}\t{entry.id}\t{origin}\t{trace_length}\t{int(novel)}"
-        )
         return entry
 
 
@@ -199,11 +192,10 @@ def _det_changes(data: bytes, n: int) -> Iterator[tuple[int, bytes]]:
                 yield i, val.to_bytes(2, "little")
 
 
-def havoc(data: bytes, queue: list[QueueEntry], rng: np.random.Generator,
-          config: FuzzConfig) -> bytes:
-    """Stack 1..havoc_stack_max random mutations on one input."""
+def havoc(data: bytes, queue: list[QueueEntry], rng: np.random.Generator) -> bytes:
+    """Stack 1..HAVOC_STACK_MAX random mutations on one non-empty input."""
     buf = bytearray(data)
-    n_ops = int(rng.integers(1, config.havoc_stack_max + 1))
+    n_ops = int(rng.integers(1, HAVOC_STACK_MAX + 1))
     for _ in range(n_ops):
         op = int(rng.integers(0, 10))
         n = len(buf)
@@ -248,19 +240,11 @@ def havoc(data: bytes, queue: list[QueueEntry], rng: np.random.Generator,
                 cut_a = int(rng.integers(0, n + 1))
                 cut_b = int(rng.integers(0, len(other) + 1))
                 buf = bytearray(buf[:cut_a] + other[cut_b:])
-        if len(buf) > config.max_len:
-            del buf[config.max_len :]
+        if len(buf) > MAX_INPUT_LEN:
+            del buf[MAX_INPUT_LEN:]
         if not buf:
             buf = bytearray(b"\x00")
     return bytes(buf)
-
-
-def mutate(entry: QueueEntry, queue: list[QueueEntry], rng: np.random.Generator,
-           config: FuzzConfig | None = None) -> bytes:
-    """One havoc-style mutation of a queue entry."""
-    if not entry.data:
-        raise UsageError("cannot mutate an empty input")
-    return havoc(entry.data, queue, rng, config or FuzzConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +270,10 @@ def fuzz_loop(state: FuzzerState, target: TargetProgram, exec_budget: int) -> li
             state._cursor += 1
         entry, done, crashes = state._round
         if entry.det_done:
-            stage = (havoc(entry.data, state.queue, state.rng, state.config)
-                     for _ in range(done, state.config.havoc_per_round))
+            stage = (havoc(entry.data, state.queue, state.rng)
+                     for _ in range(done, HAVOC_PER_ROUND))
         else:
-            stage = islice(deterministic_mutations(entry.data, state.config.det_max_bytes),
-                           done, None)
+            stage = islice(deterministic_mutations(entry.data, DET_MAX_BYTES), done, None)
         for candidate in stage:
             if isinstance(candidate, int):  # a repeat of candidate number `candidate`
                 state.exec_count += 1
@@ -333,7 +316,7 @@ def reinitialize(state: FuzzerState, batch, target: TargetProgram) -> list[Queue
 
 
 def replay_audit(queue: list[QueueEntry], target: TargetProgram,
-                 edge_budget: int = 1_000_000) -> bool:
+                 edge_budget: int = DEFAULT_EDGE_BUDGET) -> bool:
     """Re-execute the queue in id order against a fresh map and confirm every
     mutation-origin entry was coverage-novel at its admission point."""
     cov = CoverageMap()
@@ -348,18 +331,14 @@ def replay_audit(queue: list[QueueEntry], target: TargetProgram,
 
 
 def run_workers(n_workers: int, target: TargetProgram, seeds: list[bytes],
-                exec_budget: int, config: FuzzConfig,
-                worker_seeds: list[int] | None = None) -> list[FuzzerState]:
-    """Run n fully independent fuzzing loops (shared-nothing)."""
+                exec_budget: int, config: FuzzConfig) -> list[FuzzerState]:
+    """Run n fully independent fuzzing loops (shared-nothing); worker i
+    draws from rng seed config.rng_seed + i."""
     if n_workers < 1:
         raise UsageError("need at least one worker")
-    if worker_seeds is None:
-        worker_seeds = [config.rng_seed + i for i in range(n_workers)]
-    if len(worker_seeds) != n_workers:
-        raise UsageError("worker_seeds length must equal n_workers")
     states = []
-    for wseed in worker_seeds:
-        wconfig = FuzzConfig(**{**config.__dict__, "rng_seed": wseed})
+    for i in range(n_workers):
+        wconfig = replace(config, rng_seed=config.rng_seed + i)
         state = FuzzerState.from_seeds(seeds, target, wconfig)
         fuzz_loop(state, target, exec_budget)
         states.append(state)

@@ -373,25 +373,15 @@ class RmsProp:
             p -= num
 
 
-def make_optimizer(kind: str, lr: float, **kwargs):
-    if kind == "sgd":
-        return Sgd(lr)
-    if kind == "adam":
-        return Adam(lr, **kwargs)
-    if kind == "rmsprop":
-        return RmsProp(lr, **kwargs)
-    raise UsageError(f"unknown optimizer kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Dropout
 
 
-def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool = True):
+def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator):
     """Inverted dropout. Returns (output, mask); mask is the applied scale."""
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x, np.ones_like(x)
     mask = rng.random(x.shape)  # (random >= rate) / (1 - rate)
     np.greater_equal(mask, rate, out=mask)

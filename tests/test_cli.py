@@ -121,6 +121,23 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         assert len(load_corpus(out)) == len(load_corpus(mini_corpus))
 
+    def test_merge_fuzz_corpora(self, tmp_path):
+        # Every `ganfuzz fuzz` corpus is worker 0 with ids from 0, so the two
+        # inputs share (worker, id) pairs but not their bytes.
+        dirs = []
+        for name, seed_bytes in (("w0", b"MKEY"), ("w1", b"MKEY\x01")):
+            seed = tmp_path / f"{name}.bin"
+            seed.write_bytes(seed_bytes)
+            dirs.append(tmp_path / name)
+            assert main(["fuzz", "--target", "minikey", "--corpus", str(dirs[-1]),
+                         "--execs", "300", "--seed-file", str(seed)]) == 0
+        out = tmp_path / "merged"
+        assert main(["merge", *map(str, dirs), "--out", str(out)]) == 0
+        inputs = {s.data for d in dirs for s in load_corpus(d)}
+        merged = [s.data for s in load_corpus(out)]
+        assert len(merged) == len(set(merged))
+        assert set(merged) == inputs
+
     def test_report(self, mini_corpus, capsys):
         assert main(["report", "--corpus", str(mini_corpus), "--tsv"]) == 0
         out = capsys.readouterr().out

@@ -39,7 +39,6 @@ def test_replay_not_novel():
     cov = CoverageMap()
     trace = trace_of([1, 2, 3, 1])
     assert cov.update(trace)
-    assert not cov.copy().update(trace)
     assert not cov.update(trace)
 
 
@@ -53,7 +52,7 @@ def test_bucket_transitions():
     for prior, later, expect in ((3, 5, True), (2, 3, True), (5, 6, False)):
         cov = CoverageMap()
         cov.update(_trace_with_count(prior))
-        assert cov.copy().update(_trace_with_count(later)) is expect
+        assert cov.update(_trace_with_count(later)) is expect
 
 
 def test_update_ors_the_bucket_bit_into_the_cell():
@@ -80,20 +79,3 @@ def test_large_edge_ids_wrap_into_map():
     assert all(0 <= edge_cell(p, c) < MAP_SIZE
                for p in (0, 1, MAP_SIZE - 1, MAP_SIZE, 3 * MAP_SIZE + 11)
                for c in (0, 2, MAP_SIZE - 2, MAP_SIZE + 1, 7 * MAP_SIZE))
-
-
-def test_merge_unions_bits():
-    a, b = CoverageMap(), CoverageMap()
-    a.update(trace_of([1]))
-    b.update(trace_of([2]))
-    a.merge(b)
-    assert not a.copy().update(trace_of([1]))
-    assert not a.copy().update(trace_of([2]))
-
-
-def test_copy_is_independent():
-    a = CoverageMap()
-    a.update(trace_of([1]))
-    b = a.copy()
-    b.update(trace_of([2]))
-    assert a.copy().update(trace_of([2]))

@@ -123,12 +123,6 @@ class TestComputeReport:
         assert report.mean_length == 1.5
         assert report.std_length == 0.5  # population formula
 
-    def test_all_seeds_stats_flag(self):
-        seeds = [SeedFile(data=b"x", id=i, origin="m", discovered_at=i, trace_length=tl)
-                 for i, tl in enumerate([1, 1, 1, 5])]
-        report = compute_report(seeds, set(), all_seeds_stats=True)
-        assert report.mean_length == 2.0
-
     def test_empty_seed_list_raises(self):
         with pytest.raises(UsageError):
             compute_report([], set())
