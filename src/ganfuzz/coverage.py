@@ -51,8 +51,15 @@ class CoverageMap:
     """
 
     def __init__(self):
-        self._bits = bytearray(MAP_SIZE)
-        self.cells = np.frombuffer(self._bits, dtype=np.uint8)
+        self.__setstate__(bytearray(MAP_SIZE))
+
+    # A copy (pickle, copy.deepcopy) keeps `cells` a view of its own bits.
+    def __getstate__(self) -> bytearray:
+        return self._bits
+
+    def __setstate__(self, bits: bytearray) -> None:
+        self._bits = bits
+        self.cells = np.frombuffer(bits, dtype=np.uint8)
 
     def update(self, trace: Trace) -> bool:
         """Fold one run's hits in; True iff any previously unset bucket bit was set."""

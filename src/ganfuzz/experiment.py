@@ -1,16 +1,23 @@
 """End-to-end experiment orchestration and the path-length metrics suite.
 
-Phase 1 fuzzes the target with independent workers to build a training
+Phase 1 fuzzes the target with several workers to build a training
 corpus; the corpus is merged and deduplicated; each strategy then produces
-a synthetic seed batch and a reinitialized fuzzer runs phase 2. Reports
-carry both virtual-time (execution count) and wall-clock rates.
+a synthetic seed batch and a reinitialized fuzzer runs phase 2, in a forked
+child process for every strategy but the first. Reports carry both
+virtual-time (execution count) and wall-clock rates.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields
+from functools import partial
+from itertools import chain
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,18 +50,18 @@ class StrategyReport:
                     novel_count: int = 0, mean_length: float = 0.0,
                     std_length: float = 0.0, execs: int = 0, wall: float = 0.0,
                     train_wall: float = 0.0) -> "StrategyReport":
-        if seed_count < 1:
-            raise UsageError("seed_count must be positive")
+        if min(seed_count, unique_length_count, novel_count) < 0:
+            raise UsageError("counts must not be negative")
         return cls(
             strategy=strategy,
             seed_count=seed_count,
             unique_length_count=unique_length_count,
-            unique_fraction=unique_length_count / seed_count,
+            unique_fraction=unique_length_count / seed_count if seed_count else 0.0,
             novel_count=novel_count,
             mean_length=mean_length,
             std_length=std_length,
-            execs_per_path=execs / seed_count if execs else 0.0,
-            wall_secs_per_path=wall / seed_count if wall else 0.0,
+            execs_per_path=execs / seed_count if seed_count else 0.0,
+            wall_secs_per_path=wall / seed_count if seed_count else 0.0,
             train_wall_secs=train_wall,
         )
 
@@ -241,13 +248,119 @@ def _make_batch(strategy: str, train_corpus, plan: ExperimentPlan, rng_seed: int
     raise UsageError(f"unknown strategy {strategy!r}")
 
 
+def _phase2(plan: ExperimentPlan, k: int, target, merged, training_lengths: set[int],
+            models_dir: Path) -> tuple[list[corpus_store.SeedFile], StrategyReport]:
+    """Strategy k's batch, its reinitialized fuzzer's phase-2 run and report;
+    returns the fuzzer's queue as corpus seeds, and the report."""
+    strategy = plan.strategies[k]
+    strat_seed = plan.rng_seed * 1000 + 500 + k
+    batch, train_wall = _make_batch(strategy, merged, plan, strat_seed, models_dir)
+
+    wall_start = time.perf_counter()
+    config = FuzzConfig(rng_seed=strat_seed)
+    if strategy == "continue" or plan.reinit_mode == "augment":
+        # Rebuild the phase-1 queue, then (except for the control) inject.
+        state = FuzzerState.from_seeds([s.data for s in merged], target, config)
+        if batch is not None:
+            reinitialize(state, batch, target)
+    else:
+        state = FuzzerState(config)
+        reinitialize(state, batch, target)
+    baseline_ids = {e.id for e in state.queue}
+    execs_before = state.exec_count
+    fuzz_loop(state, target, plan.phase2_execs)
+    wall = time.perf_counter() - wall_start
+
+    discovered = [
+        corpus_store.SeedFile(data=e.data, id=e.id, origin=e.origin,
+                              discovered_at=e.discovered_at, trace_length=e.trace_length)
+        for e in state.queue if e.id not in baseline_ids
+    ]
+    if discovered:
+        report = compute_report(discovered, training_lengths, strategy=strategy,
+                                execs=state.exec_count - execs_before, wall=wall,
+                                train_wall=train_wall)
+    else:  # a legitimate outcome at small budgets: nothing admitted
+        report = StrategyReport.from_counts(strategy, 0, 0, train_wall=train_wall)
+    return corpus_store.seeds_from_state(state), report
+
+
+@contextmanager
+def _forked(jobs: list[Callable[[], object]]) -> Iterator[Iterator]:
+    """Start each job in a forked child process, at most one process per
+    usable CPU, and yield an iterator over their results in job order, which
+    raises a job's exception. Where there is no fork, the iterator runs each
+    job in this process when its result is asked for.
+
+    The children inherit their jobs through fork, so a job need not pickle;
+    its result or exception is pickled back. The package starts no threads
+    of its own, and OpenBLAS shuts its thread pool down before a fork.
+    Leaving the block kills and reaps every child still running.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield (job() for job in jobs)
+        return
+    ctx = multiprocessing.get_context("fork")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = min(len(jobs), cpus or 1)
+    children = []
+    try:
+        for c in range(n):
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_serve, args=(jobs[c::n], send), daemon=True)
+            child.start()
+            children.append((child, receive))
+            send.close()
+        yield _receive(children, len(jobs))
+    finally:
+        for child, receive in children:
+            if child.is_alive():
+                child.kill()
+            child.join()
+            receive.close()
+
+
+def _serve(jobs: list[Callable[[], object]], send) -> None:
+    """A forked child's work: send (True, result) for each job, in order, or
+    (False, exception) for the first that raises and stop."""
+    for job in jobs:
+        try:
+            outcome = (True, job())
+        except Exception as exc:  # handed to the parent, which raises it
+            outcome = (False, exc)
+        # One that does not pickle raises here and ends the child, which the
+        # parent reports as a child that ended without a result.
+        send.send(outcome)
+        if not outcome[0]:
+            return
+
+
+def _receive(children, count: int) -> Iterator:
+    """Results of `count` jobs dealt round-robin to children, in job order."""
+    for k in range(count):
+        child, receive = children[k % len(children)]
+        try:
+            ok, value = receive.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"a forked job's process ended with exit code "
+                               f"{child.exitcode} before sending its result") from None
+        if not ok:
+            raise value
+        yield value
+
+
 def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
                    initial_seeds: list[bytes] | None = None,
                    force: bool = False) -> dict[str, StrategyReport]:
     """Run the full protocol; persists every artifact under out_dir.
 
-    Every corpus save shares one payload record, so each distinct payload
-    is written once and its repeats are hard links (see `corpus`).
+    Phase 2 needs only the merged corpus in memory, so strategies after the
+    first run in forked child processes (`_forked`) while this process
+    writes the phase-1 corpora and runs the first strategy. Every corpus is
+    saved here, in plan order, and all saves share one payload record, so
+    each distinct payload is written once and its repeats are hard links
+    (see `corpus`). No child outlives the call.
     """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
@@ -255,67 +368,33 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
     target = get_target(plan.target)
     seeds = initial_seeds or default_initial_seeds()
 
-    # Phase 1: independent workers build the training corpus.
-    phase1 = out / "phase1"
+    # Phase 1: workers build the training corpus. The queues carry their
+    # trace lengths, so the merged seeds do too.
     states = run_workers(plan.workers, target, seeds, plan.phase1_execs,
                          FuzzConfig(rng_seed=plan.rng_seed * 1000))
-    written: dict[str, str] = {}  # payload sha256 -> a file holding it
-    union = []
-    for i, state in enumerate(states):
-        worker_seed_files = corpus_store.seeds_from_state(state, worker=i)
-        corpus_store.save_corpus(phase1 / f"worker-{i:02d}", worker_seed_files,
-                                 force=force, written=written)
-        union.extend(worker_seed_files)
-
-    # The queues carry their trace lengths, so the merged seeds do too.
-    merged, _ = corpus_store.dedup_content(union)
-    corpus_store.save_corpus(phase1 / "merged", merged, force=force, written=written)
+    worker_corpora = [corpus_store.seeds_from_state(state, worker=i)
+                      for i, state in enumerate(states)]
+    merged, _ = corpus_store.dedup_content([s for w in worker_corpora for s in w])
     training_lengths = {s.trace_length for s in merged}
 
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
+    jobs = [partial(_phase2, plan, k, target, merged, training_lengths, models_dir)
+            for k in range(len(plan.strategies))]
 
+    written: dict[str, str] = {}  # payload sha256 -> a file holding it
     reports: dict[str, StrategyReport] = {}
-    for k, strategy in enumerate(plan.strategies):
-        strat_seed = plan.rng_seed * 1000 + 500 + k
-        batch, train_wall = _make_batch(strategy, merged, plan, strat_seed, models_dir)
-
-        wall_start = time.perf_counter()
-        config = FuzzConfig(rng_seed=strat_seed)
-        if strategy == "continue" or plan.reinit_mode == "augment":
-            # Rebuild the phase-1 queue, then (except for the control) inject.
-            state = FuzzerState.from_seeds([s.data for s in merged], target, config)
-            if batch is not None:
-                reinitialize(state, batch, target)
-        else:
-            state = FuzzerState(config)
-            reinitialize(state, batch, target)
-        baseline_ids = {e.id for e in state.queue}
-        execs_before = state.exec_count
-        fuzz_loop(state, target, plan.phase2_execs)
-        wall = time.perf_counter() - wall_start
-
-        discovered = [e for e in state.queue if e.id not in baseline_ids]
-        strat_dir = out / "phase2" / strategy
-        corpus_store.save_corpus(strat_dir, corpus_store.seeds_from_state(state),
-                                 force=force, written=written)
-        if discovered:
-            discovered_seeds = [
-                corpus_store.SeedFile(data=e.data, id=e.id, origin=e.origin,
-                                      discovered_at=e.discovered_at,
-                                      trace_length=e.trace_length)
-                for e in discovered
-            ]
-            reports[strategy] = compute_report(
-                discovered_seeds, training_lengths, strategy=strategy,
-                execs=state.exec_count - execs_before, wall=wall, train_wall=train_wall)
-        else:
-            # A legitimate outcome at small budgets: nothing admitted.
-            reports[strategy] = StrategyReport(
-                strategy=strategy, seed_count=0, unique_length_count=0,
-                unique_fraction=0.0, novel_count=0, mean_length=0.0,
-                std_length=0.0, execs_per_path=0.0, wall_secs_per_path=0.0,
-                train_wall_secs=train_wall)
+    with _forked(jobs[1:]) as later:
+        phase1 = out / "phase1"
+        for i, worker_seeds in enumerate(worker_corpora):
+            corpus_store.save_corpus(phase1 / f"worker-{i:02d}", worker_seeds,
+                                     force=force, written=written)
+        corpus_store.save_corpus(phase1 / "merged", merged, force=force, written=written)
+        results = chain([jobs[0]()], later)
+        for strategy, (queue_seeds, report) in zip(plan.strategies, results):
+            corpus_store.save_corpus(out / "phase2" / strategy, queue_seeds,
+                                     force=force, written=written)
+            reports[strategy] = report
 
     report_dir = out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

@@ -14,10 +14,16 @@ virtual time but not run again, as AFL skips such candidates: it could set
 no new coverage bit, so it is admitted only if its first occurrence crashed,
 with that occurrence's outcome. Queues and exec counts are those of a loop
 that runs every candidate.
+
+`run_workers` runs several fuzzers that differ only in their generator
+seed. Only havoc draws from the generator, so their runs agree up to the
+first havoc round: that deterministic prefix is fuzzed once and copied, and
+each worker's state still equals that of its own run.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator
@@ -265,41 +271,55 @@ def fuzz_loop(state: FuzzerState, target: TargetProgram, exec_budget: int) -> li
     new_entries: list[QueueEntry] = []
     spent = 0
     while spent < exec_budget:
-        if state._round is None:
-            state._round = (state.queue[state._cursor % len(state.queue)], 0, {})
-            state._cursor += 1
-        entry, done, crashes = state._round
-        if entry.det_done:
-            stage = (havoc(entry.data, state.queue, state.rng)
-                     for _ in range(done, HAVOC_PER_ROUND))
-        else:
-            stage = islice(deterministic_mutations(entry.data, DET_MAX_BYTES), done, None)
-        for candidate in stage:
-            if isinstance(candidate, int):  # a repeat of candidate number `candidate`
-                state.exec_count += 1
-                first = crashes.get(candidate)
-                admitted = None if first is None else state._admit(
-                    first.data, "mutation", entry.id, first.trace_length, first.outcome,
-                    novel=False)
-            else:
-                admitted = state._run_and_admit(
-                    target, candidate, origin="mutation", parent=entry.id, force=False
-                )
-                if admitted is not None and admitted.outcome == OUTCOME_CRASH:
-                    crashes[done] = admitted
-            spent += 1
-            done += 1
-            if admitted is not None:
-                new_entries.append(admitted)
-            if spent >= exec_budget:
-                # Left for the next call to resume; the check comes after the
-                # exec so that no havoc draw is spent on an unrun candidate.
-                state._round = (entry, done, crashes)
-                break
-        else:
-            entry.det_done = True
-            state._round = None
+        spent += _fuzz_round(state, target, exec_budget - spent, new_entries)
     return new_entries
+
+
+def _next_round_is_havoc(state: FuzzerState) -> bool:
+    if state._round is not None:
+        return state._round[0].det_done
+    return state.queue[state._cursor % len(state.queue)].det_done
+
+
+def _fuzz_round(state: FuzzerState, target: TargetProgram, exec_budget: int,
+                new_entries: list[QueueEntry]) -> int:
+    """Run the open round, or start the next, for at most `exec_budget` (> 0)
+    execs; append admissions to new_entries and return the execs spent."""
+    if state._round is None:
+        state._round = (state.queue[state._cursor % len(state.queue)], 0, {})
+        state._cursor += 1
+    entry, done, crashes = state._round
+    if entry.det_done:
+        stage = (havoc(entry.data, state.queue, state.rng)
+                 for _ in range(done, HAVOC_PER_ROUND))
+    else:
+        stage = islice(deterministic_mutations(entry.data, DET_MAX_BYTES), done, None)
+    spent = 0
+    for candidate in stage:
+        if isinstance(candidate, int):  # a repeat of candidate number `candidate`
+            state.exec_count += 1
+            first = crashes.get(candidate)
+            admitted = None if first is None else state._admit(
+                first.data, "mutation", entry.id, first.trace_length, first.outcome,
+                novel=False)
+        else:
+            admitted = state._run_and_admit(
+                target, candidate, origin="mutation", parent=entry.id, force=False
+            )
+            if admitted is not None and admitted.outcome == OUTCOME_CRASH:
+                crashes[done] = admitted
+        spent += 1
+        done += 1
+        if admitted is not None:
+            new_entries.append(admitted)
+        if spent >= exec_budget:
+            # Left for the next call to resume; the check comes after the
+            # exec so that no havoc draw is spent on an unrun candidate.
+            state._round = (entry, done, crashes)
+            return spent
+    entry.det_done = True
+    state._round = None
+    return spent
 
 
 def reinitialize(state: FuzzerState, batch, target: TargetProgram) -> list[QueueEntry]:
@@ -332,14 +352,28 @@ def replay_audit(queue: list[QueueEntry], target: TargetProgram,
 
 def run_workers(n_workers: int, target: TargetProgram, seeds: list[bytes],
                 exec_budget: int, config: FuzzConfig) -> list[FuzzerState]:
-    """Run n fully independent fuzzing loops (shared-nothing); worker i
-    draws from rng seed config.rng_seed + i."""
+    """Run n fuzzing loops from the same seeds; worker i draws from rng seed
+    config.rng_seed + i, and each returned state equals that of its own
+    `from_seeds` + `fuzz_loop` run.
+
+    Only havoc draws from the generator, so every worker's run is worker 0's
+    up to its first havoc round. That shared deterministic prefix is fuzzed
+    once, and each other worker starts from a copy of it (as AFL runs the
+    deterministic stages in one instance of a parallel set).
+    """
     if n_workers < 1:
         raise UsageError("need at least one worker")
-    states = []
-    for i in range(n_workers):
-        wconfig = replace(config, rng_seed=config.rng_seed + i)
-        state = FuzzerState.from_seeds(seeds, target, wconfig)
-        fuzz_loop(state, target, exec_budget)
+    first = FuzzerState.from_seeds(seeds, target, config)
+    spent = 0
+    while spent < exec_budget and not _next_round_is_havoc(first):
+        spent += _fuzz_round(first, target, exec_budget - spent, [])
+    prefix = pickle.dumps(first)
+    states = [first]
+    for i in range(1, n_workers):
+        state = pickle.loads(prefix)
+        state.config = replace(config, rng_seed=config.rng_seed + i)
+        state.rng = np.random.Generator(np.random.PCG64(state.config.rng_seed))
         states.append(state)
+    for state in states:
+        fuzz_loop(state, target, exec_budget - spent)
     return states

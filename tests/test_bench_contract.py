@@ -2,7 +2,8 @@
 
 The tracer wraps package attributes by name, so deleting or renaming one
 breaks only traced benchmark runs. These tests install and remove the
-tracer, and run one round of the `fuzz` workload through its own check.
+tracer, run one round of the `fuzz` workload through its own check, and
+read the phase split of a traced run_experiment.
 """
 
 import sys
@@ -14,6 +15,8 @@ if str(PERFBENCH) not in sys.path:
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+import ganfuzz.experiment as experiment  # noqa: E402
 
 
 def test_tracer_install_and_uninstall_restore_every_attribute():
@@ -32,3 +35,21 @@ def test_fuzz_workload_round_passes_its_check(tmp_path):
     workload = workloads.Fuzz(0, tmp_path)
     paths, _ = workload.check(workload.run())
     assert paths == 15
+
+
+def test_traced_trial_reports_its_phase_split(tmp_path):
+    # The phase split needs run_workers and a first _make_batch in this
+    # process, under the run_experiment span.
+    plan = experiment.ExperimentPlan(
+        phase1_execs=2_000, workers=2, phase2_execs=500,
+        strategies=("rand_urandom", "rand_corpus", "gan"), samples_per_strategy=20,
+        gan_epochs=5, gan_batch_size=32, gan_anneal_after=0, gan_restarts=1)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        experiment.run_experiment(plan, tmp_path / "run")
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["experiment.phase1.s"][0] > 0
+    assert metrics["experiment.save_merge.s"][0] > 0

@@ -1,5 +1,7 @@
 """Unit tests for the bucketed edge-pair coverage map."""
 
+import pickle
+
 from ganfuzz.coverage import MAP_SIZE, CoverageMap, _BUCKET_BIT, bucket_index, edge_cell
 from ganfuzz.targets import Trace
 
@@ -79,3 +81,12 @@ def test_large_edge_ids_wrap_into_map():
     assert all(0 <= edge_cell(p, c) < MAP_SIZE
                for p in (0, 1, MAP_SIZE - 1, MAP_SIZE, 3 * MAP_SIZE + 11)
                for c in (0, 2, MAP_SIZE - 2, MAP_SIZE + 1, 7 * MAP_SIZE))
+
+
+def test_pickled_copy_keeps_cells_a_view_of_its_own_bits():
+    cov = CoverageMap()
+    cov.update(_trace_with_count(1))
+    copy = pickle.loads(pickle.dumps(cov))
+    assert copy.update(_trace_with_count(2))
+    assert copy.cells[5] == 0b11
+    assert cov.cells[5] == 0b01

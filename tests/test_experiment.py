@@ -1,9 +1,11 @@
 """Unit tests for metrics formulas, plan files, and the orchestrated run."""
 
 import hashlib
+import multiprocessing
 
 import pytest
 
+import ganfuzz.experiment as experiment
 from ganfuzz.corpus import SeedFile, merge
 from ganfuzz.errors import UsageError
 from ganfuzz.experiment import (
@@ -19,6 +21,7 @@ from ganfuzz.experiment import (
     relative_rate,
     run_experiment,
 )
+from ganfuzz.targets import MINIKEY, TargetProgram
 
 
 def _seeds_with_lengths(total, distinct):
@@ -126,6 +129,18 @@ class TestComputeReport:
     def test_empty_seed_list_raises(self):
         with pytest.raises(UsageError):
             compute_report([], set())
+
+    def test_zero_count_report(self):
+        r = StrategyReport.from_counts("gan", 0, 0, train_wall=1.5)
+        assert (r.seed_count, r.unique_length_count, r.unique_fraction, r.novel_count) == \
+            (0, 0, 0.0, 0)
+        assert (r.execs_per_path, r.wall_secs_per_path, r.train_wall_secs) == (0.0, 0.0, 1.5)
+
+    @pytest.mark.parametrize("counts", [(-1, 0, 0), (1, -1, 0), (1, 1, -1)])
+    def test_negative_counts_raise(self, counts):
+        seeds, unique, novel = counts
+        with pytest.raises(UsageError):
+            StrategyReport.from_counts("gan", seeds, unique, novel_count=novel)
 
     def test_unanalyzed_seed_raises(self):
         seeds = [SeedFile(data=b"x", id=0, origin="m", discovered_at=0)]
@@ -284,6 +299,61 @@ class TestRunExperiment:
         for r in reports.values():
             assert r.novel_count <= r.unique_length_count <= max(r.seed_count, 0)
             assert r.std_length >= 0.0
+
+
+def _golden_digest(out):
+    return hashlib.sha256(repr(_corpus_artifacts(out)).encode()).hexdigest()
+
+
+class TestPhase2Processes:
+    """Strategies after the first run in forked children; none may outlive
+    run_experiment, and every artifact is the one a single process writes."""
+
+    def test_failed_phase2_save_reaches_caller_and_reaps_children(self, tmp_path,
+                                                                  monkeypatch):
+        save = experiment.corpus_store.save_corpus
+        failing = tmp_path / "run" / "phase2" / _MICRO_PLAN.strategies[1]
+
+        def save_or_fail(path, *args, **kwargs):
+            if path == failing:
+                raise OSError("disk full")
+            return save(path, *args, **kwargs)
+
+        monkeypatch.setattr(experiment.corpus_store, "save_corpus", save_or_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(_MICRO_PLAN, tmp_path / "run")
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_reaches_caller_and_reaps_children(self, tmp_path, monkeypatch):
+        make_batch = experiment._make_batch
+
+        def make_batch_or_fail(strategy, *args):
+            if strategy == "gan":  # the last strategy: run in a child
+                raise ValueError("no GAN today")
+            return make_batch(strategy, *args)
+
+        monkeypatch.setattr(experiment, "_make_batch", make_batch_or_fail)
+        with pytest.raises(ValueError, match="no GAN today"):
+            run_experiment(_MICRO_PLAN, tmp_path / "run")
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_the_jobs_run_here_with_the_same_artifacts(self, tmp_path,
+                                                                     monkeypatch):
+        def no_context(method=None):
+            raise AssertionError("a process was started without fork")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        run_experiment(_MICRO_PLAN, tmp_path / "run")
+        assert _golden_digest(tmp_path / "run") == GOLDEN_RUN_ARTIFACTS_SHA256
+
+    def test_a_target_that_does_not_pickle_runs_in_children(self, tmp_path, monkeypatch):
+        target = TargetProgram("minikey",
+                               lambda data, edge_budget: MINIKEY.entry(data, edge_budget))
+        monkeypatch.setattr(experiment, "get_target", lambda name: target)
+        run_experiment(_MICRO_PLAN, tmp_path / "run")
+        assert _golden_digest(tmp_path / "run") == GOLDEN_RUN_ARTIFACTS_SHA256
+        assert multiprocessing.active_children() == []
 
 
 def test_format_tsv_includes_rate_rows():

@@ -19,7 +19,7 @@ from ganfuzz.fuzzer import (
     run_workers,
 )
 from ganfuzz.synth import SyntheticBatch
-from ganfuzz.targets import MINIKEY
+from ganfuzz.targets import MINIKEY, TargetProgram
 
 from oracles import plain_deterministic_mutations
 
@@ -40,6 +40,15 @@ GOLDEN_CRASH_FLOOD_SHA256 = "d439535a9bbfcf94bfb2b24cf7d97728683bc77b361891d4495
 def _queue_fingerprint(state):
     return [(e.id, e.data, e.origin, e.discovered_at, e.trace_length, e.outcome)
             for e in state.queue]
+
+
+def _whole_state(state):
+    """Everything a run leaves in its state: config, entries (every field,
+    det_done included), crashes, exec count, coverage bits, generator state,
+    cursor and the round a later call would resume."""
+    return (state.config, state.queue, state.crashes, state.exec_count,
+            bytes(state.coverage._bits), state.coverage.cells.tobytes(),
+            state.rng.bit_generator.state, state._cursor, state._round)
 
 
 def _admission_lines(state):
@@ -283,12 +292,37 @@ class TestRunWorkers:
         assert _queue_fingerprint(worker) == _queue_fingerprint(direct)
 
     def test_worker_i_draws_from_rng_seed_plus_i(self):
-        states = run_workers(3, MINIKEY, [b"MKEY"], 2_000, FuzzConfig(rng_seed=7))
-        for i, state in enumerate(states):
-            direct = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=7 + i))
-            fuzz_loop(direct, MINIKEY, 2_000)
-            assert state.config.rng_seed == 7 + i
-            assert _queue_fingerprint(state) == _queue_fingerprint(direct)
+        # Each worker's whole state, the resumable round included, equals an
+        # independent run's, though the workers share a deterministic prefix.
+        cases = [
+            ([b"MKEY"], 1_000, False),  # ends mid deterministic pass
+            ([b"MKEY"], 5_000, True),  # havoc at 1,306, then deterministic passes
+            (default_initial_seeds(), 20_000, False),
+        ]
+        for seeds, budget, reaches_havoc in cases:
+            states = run_workers(3, MINIKEY, seeds, budget, FuzzConfig(rng_seed=7))
+            for i, state in enumerate(states):
+                direct = FuzzerState.from_seeds(seeds, MINIKEY, FuzzConfig(rng_seed=7 + i))
+                fuzz_loop(direct, MINIKEY, budget)
+                fresh = np.random.Generator(np.random.PCG64(7 + i)).bit_generator.state
+                assert (direct.rng.bit_generator.state != fresh) == reaches_havoc
+                assert state.config.rng_seed == 7 + i
+                assert _whole_state(state) == _whole_state(direct)
+            assert states[0]._round is not None
+
+    def test_workers_run_the_deterministic_prefix_once(self):
+        calls = []
+
+        def entry(data, edge_budget):
+            calls.append(data)
+            return MINIKEY.entry(data, edge_budget)
+
+        counting = TargetProgram("counting", entry)
+        run_workers(1, counting, [b"MKEY"], 1_000, FuzzConfig())
+        one = len(calls)
+        calls.clear()
+        run_workers(2, counting, [b"MKEY"], 1_000, FuzzConfig())
+        assert len(calls) == one > 0
 
     def test_distinct_seeds_union_superset(self):
         states = run_workers(2, MINIKEY, [b"MKEY"], 5_000, FuzzConfig(rng_seed=1))
