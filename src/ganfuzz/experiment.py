@@ -3,26 +3,26 @@
 Phase 1 fuzzes the target with several workers to build a training
 corpus; the corpus is merged and deduplicated; each strategy then produces
 a synthetic seed batch and a reinitialized fuzzer runs phase 2, in a forked
-child process for every strategy but the first. Reports carry both
+child process for every strategy but the first. GAN training runs its
+restarts in parallel the same way, from within whichever process trains
+it. Each `forking.forked` block runs at most one process per usable CPU,
+and the results equal those of one process. Reports carry both
 virtual-time (execution count) and wall-clock rates.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator
 
 import numpy as np
 
 from . import corpus as corpus_store
 from .errors import UsageError
+from .forking import forked
 from .fuzzer import FuzzConfig, FuzzerState, fuzz_loop, reinitialize, run_workers
 from .gan import GanConfig, gan_generate, save_gan, train_gan
 from .lstm import LstmConfig, lstm_generate, save_lstm, train_lstm
@@ -285,78 +285,13 @@ def _phase2(plan: ExperimentPlan, k: int, target, merged, training_lengths: set[
     return corpus_store.seeds_from_state(state), report
 
 
-@contextmanager
-def _forked(jobs: list[Callable[[], object]]) -> Iterator[Iterator]:
-    """Start each job in a forked child process, at most one process per
-    usable CPU, and yield an iterator over their results in job order, which
-    raises a job's exception. Where there is no fork, the iterator runs each
-    job in this process when its result is asked for.
-
-    The children inherit their jobs through fork, so a job need not pickle;
-    its result or exception is pickled back. The package starts no threads
-    of its own, and OpenBLAS shuts its thread pool down before a fork.
-    Leaving the block kills and reaps every child still running.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield (job() for job in jobs)
-        return
-    ctx = multiprocessing.get_context("fork")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = min(len(jobs), cpus or 1)
-    children = []
-    try:
-        for c in range(n):
-            receive, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_serve, args=(jobs[c::n], send), daemon=True)
-            child.start()
-            children.append((child, receive))
-            send.close()
-        yield _receive(children, len(jobs))
-    finally:
-        for child, receive in children:
-            if child.is_alive():
-                child.kill()
-            child.join()
-            receive.close()
-
-
-def _serve(jobs: list[Callable[[], object]], send) -> None:
-    """A forked child's work: send (True, result) for each job, in order, or
-    (False, exception) for the first that raises and stop."""
-    for job in jobs:
-        try:
-            outcome = (True, job())
-        except Exception as exc:  # handed to the parent, which raises it
-            outcome = (False, exc)
-        # One that does not pickle raises here and ends the child, which the
-        # parent reports as a child that ended without a result.
-        send.send(outcome)
-        if not outcome[0]:
-            return
-
-
-def _receive(children, count: int) -> Iterator:
-    """Results of `count` jobs dealt round-robin to children, in job order."""
-    for k in range(count):
-        child, receive = children[k % len(children)]
-        try:
-            ok, value = receive.recv()
-        except EOFError:
-            child.join()
-            raise RuntimeError(f"a forked job's process ended with exit code "
-                               f"{child.exitcode} before sending its result") from None
-        if not ok:
-            raise value
-        yield value
-
-
 def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
                    initial_seeds: list[bytes] | None = None,
                    force: bool = False) -> dict[str, StrategyReport]:
     """Run the full protocol; persists every artifact under out_dir.
 
     Phase 2 needs only the merged corpus in memory, so strategies after the
-    first run in forked child processes (`_forked`) while this process
+    first run in forked child processes (`forking.forked`) while this process
     writes the phase-1 corpora and runs the first strategy. Every corpus is
     saved here, in plan order, and all saves share one payload record, so
     each distinct payload is written once and its repeats are hard links
@@ -384,7 +319,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
 
     written: dict[str, str] = {}  # payload sha256 -> a file holding it
     reports: dict[str, StrategyReport] = {}
-    with _forked(jobs[1:]) as later:
+    with forked(jobs[1:]) as later:
         phase1 = out / "phase1"
         for i, worker_seeds in enumerate(worker_corpora):
             corpus_store.save_corpus(phase1 / f"worker-{i:02d}", worker_seeds,

@@ -13,12 +13,15 @@ import logging
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from . import nn
 from .codec import decode_floats, encode_bytes
 from .errors import UsageError
+from .forking import forked
 from .synth import SyntheticBatch, median_seed_length
 
 log = logging.getLogger(__name__)
@@ -46,6 +49,8 @@ class GanConfig:
     # Independent training restarts; the run with the best (lowest) probe
     # moment score is kept. Adversarial training has heavy-tailed run-to-run
     # variance, so restart selection is the cheapest reliability lever.
+    # Restarts after the first train in forked processes, at most one per
+    # usable CPU, and the kept model is the one sequential training keeps.
     restarts: int = 1
     rng_seed: int = 0
 
@@ -73,6 +78,11 @@ def _discriminate(model_layers, x, rate, rng, training):
 
 @nn.one_blas_thread()
 def train_gan(corpus, config: GanConfig) -> GanModel:
+    """Train `config.restarts` independent G/D pairs and keep the first with
+    the lowest moment score. Restart 0 trains in this process while the
+    others train in forked processes, at most one per usable CPU (`forked`);
+    the kept model, bit for bit, is the one training them in order keeps.
+    `train_time` is the wall time of the whole call."""
     if not corpus:
         raise UsageError("train_gan needs a non-empty corpus")
     if config.latent_dim < 1:
@@ -80,11 +90,13 @@ def train_gan(corpus, config: GanConfig) -> GanModel:
     if config.restarts < 1:
         raise UsageError("restarts must be >= 1")
     start = time.perf_counter()
+    jobs = [partial(_train_gan_once, corpus, config, config.rng_seed + restart * 1000003)
+            for restart in range(config.restarts)]
     best: GanModel | None = None
-    for restart in range(config.restarts):
-        model = _train_gan_once(corpus, config, config.rng_seed + restart * 1000003)
-        if best is None or model.moment_score < best.moment_score:
-            best = model
+    with forked(jobs[1:]) as later:
+        for model in chain([jobs[0]()], later):
+            if best is None or model.moment_score < best.moment_score:
+                best = model
     best.train_time = time.perf_counter() - start
     return best
 

@@ -251,6 +251,7 @@ def train_lstm(corpus, config: LstmConfig) -> LstmModel:
             opt.step(model.params(), grads)
             nn.assert_finite(model.params(), "lstm update")
             model.losses.append(loss)
+    nn.release([model.dense, model.proj])
     model.train_time = time.perf_counter() - start
     return model
 

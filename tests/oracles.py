@@ -1,10 +1,13 @@
-"""Shared brute-force oracles and the finite-difference gradient checker.
+"""Shared brute-force oracles, the finite-difference gradient checker and
+the one-process reference for forked runs.
 
 Used by both the unit suites and the acceptance suite so the two always
 agree on what "correct" means.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 
@@ -222,3 +225,14 @@ def plain_deterministic_mutations(data: bytes, max_bytes: int):
             val = v & 0xFFFF
             if val != orig:
                 yield with_bytes([(i, val & 0xFF), (i + 1, val >> 8)])
+
+
+def no_fork(monkeypatch):
+    """Make this platform look like one without fork, so that `forked` runs
+    every job in order in the calling process: the reference a forked run
+    must equal."""
+    def no_context(method=None):
+        raise AssertionError("a process was started without fork")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_context)

@@ -2,10 +2,13 @@
 
 import hashlib
 import multiprocessing
+import os
+from dataclasses import replace
 
 import pytest
 
 import ganfuzz.experiment as experiment
+import ganfuzz.gan as gan
 from ganfuzz.corpus import SeedFile, merge
 from ganfuzz.errors import UsageError
 from ganfuzz.experiment import (
@@ -22,6 +25,8 @@ from ganfuzz.experiment import (
     run_experiment,
 )
 from ganfuzz.targets import MINIKEY, TargetProgram
+
+from oracles import no_fork
 
 
 def _seeds_with_lengths(total, distinct):
@@ -305,6 +310,19 @@ def _golden_digest(out):
     return hashlib.sha256(repr(_corpus_artifacts(out)).encode()).hexdigest()
 
 
+def _virtual_reports(reports):
+    """Reports minus their wall-clock fields, which legitimately vary."""
+    return {name: replace(r, wall_secs_per_path=0.0, train_wall_secs=0.0)
+            for name, r in reports.items()}
+
+
+def _run_files(out):
+    """SHA-256 of every corpus and model file of a run, by relative path."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for sub in ("phase1", "phase2", "models") for p in (out / sub).rglob("*")
+            if p.is_file()}
+
+
 class TestPhase2Processes:
     """Strategies after the first run in forked children; none may outlive
     run_experiment, and every artifact is the one a single process writes."""
@@ -339,13 +357,36 @@ class TestPhase2Processes:
 
     def test_without_fork_the_jobs_run_here_with_the_same_artifacts(self, tmp_path,
                                                                      monkeypatch):
-        def no_context(method=None):
-            raise AssertionError("a process was started without fork")
-
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        no_fork(monkeypatch)
         run_experiment(_MICRO_PLAN, tmp_path / "run")
         assert _golden_digest(tmp_path / "run") == GOLDEN_RUN_ARTIFACTS_SHA256
+
+    def test_gan_restarts_fork_again_inside_a_phase2_child(self, tmp_path, monkeypatch):
+        # "gan" is not first, so its child forks the GAN's restarts 1 and 2.
+        plan = ExperimentPlan(phase1_execs=2000, phase2_execs=500,
+                              strategies=("rand_urandom", "gan"), gan_restarts=3,
+                              gan_epochs=5, samples_per_strategy=20)
+        train_once = gan._train_gan_once
+        where = tmp_path / "where"
+        where.mkdir()
+
+        def train_once_noting_process(corpus, config, rng_seed):
+            (where / str(rng_seed - config.rng_seed)).write_text(
+                f"{os.getpid()} {os.getppid()}")
+            return train_once(corpus, config, rng_seed)
+
+        monkeypatch.setattr(gan, "_train_gan_once", train_once_noting_process)
+        forked = run_experiment(plan, tmp_path / "forked")
+        assert multiprocessing.active_children() == []
+        pids = [tuple(map(int, (where / str(r * 1000003)).read_text().split()))
+                for r in range(3)]
+        (first, _), later = pids[0], pids[1:]
+        assert first != os.getpid()  # restart 0 ran in gan's phase-2 child
+        assert all(pid != first and parent == first for pid, parent in later)
+        no_fork(monkeypatch)
+        in_order = run_experiment(plan, tmp_path / "in_order")
+        assert _virtual_reports(forked) == _virtual_reports(in_order)
+        assert _run_files(tmp_path / "forked") == _run_files(tmp_path / "in_order")
 
     def test_a_target_that_does_not_pickle_runs_in_children(self, tmp_path, monkeypatch):
         target = TargetProgram("minikey",

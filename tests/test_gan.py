@@ -1,14 +1,19 @@
 """Unit tests for the adversarial seed generator."""
 
 import hashlib
+import multiprocessing
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ganfuzz import nn
+from ganfuzz import gan, nn
 from ganfuzz.errors import UsageError
 from ganfuzz.gan import GanConfig, gan_generate, load_gan, save_gan, train_gan
 from ganfuzz.lstm import LstmConfig, save_lstm, train_lstm
+
+from oracles import no_fork
 
 _FAST = GanConfig(latent_dim=8, output_len=16, epochs=2, batch_size=16, rng_seed=0)
 _CORPUS = [bytes([i % 7]) * 16 for i in range(64)]
@@ -112,6 +117,60 @@ class TestTrainGan:
     def test_default_output_len_is_clamped_median(self):
         model = train_gan([b"x" * 4] * 8, GanConfig(latent_dim=4, epochs=1, rng_seed=0))
         assert model.output_len == 16  # median 4, clamped up to 16
+
+
+# _GOLDEN's settings at rng_seed 0 with three restarts: restart 2 has the
+# lowest moment score, so the kept model comes from a forked process.
+_THREE_RESTARTS = replace(_GOLDEN, restarts=3, rng_seed=0)
+
+
+class TestParallelRestarts:
+    """Restarts after the first train in forked processes; the kept model is
+    the one training them in order keeps, and no process outlives the call."""
+
+    def test_forked_restarts_equal_restarts_in_order(self, monkeypatch):
+        corpus = _golden_corpus()
+        forked = train_gan(corpus, _THREE_RESTARTS)
+        first = train_gan(corpus, replace(_THREE_RESTARTS, restarts=1))
+        assert forked.moment_score < first.moment_score  # a later restart won
+        no_fork(monkeypatch)
+        in_order = train_gan(corpus, _THREE_RESTARTS)
+        assert _digest(forked, 64, rng_seed=5) == _digest(in_order, 64, rng_seed=5)
+        assert multiprocessing.active_children() == []
+
+    def test_equal_scores_keep_the_first_restart(self):
+        # Without the anneal no checkpoint is scored: every restart scores inf.
+        three = train_gan(_CORPUS, replace(_FAST, restarts=3))
+        assert three.moment_score == float("inf")
+        assert _digest(three, 8, rng_seed=1) == _digest(train_gan(_CORPUS, _FAST), 8, rng_seed=1)
+
+    def test_child_exception_reaches_caller_and_reaps_children(self, monkeypatch):
+        train_once = gan._train_gan_once
+
+        def fail_after_first(corpus, config, rng_seed):
+            if rng_seed != config.rng_seed:  # restarts 1 and 2: in a child
+                raise ValueError(f"restart seed {rng_seed} failed")
+            return train_once(corpus, config, rng_seed)
+
+        monkeypatch.setattr(gan, "_train_gan_once", fail_after_first)
+        with pytest.raises(ValueError, match="restart seed 1000003 failed"):
+            train_gan(_golden_corpus(), _THREE_RESTARTS)
+        assert multiprocessing.active_children() == []
+
+    def test_one_restart_starts_no_process(self, monkeypatch):
+        fork = os.fork
+        forks = []
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        train_gan(_CORPUS, _FAST)
+        assert forks == []
+        train_gan(_CORPUS, replace(_FAST, restarts=2))
+        assert forks == [1]
+        assert multiprocessing.active_children() == []
 
 
 class TestGanGenerate:

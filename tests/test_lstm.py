@@ -106,6 +106,13 @@ class TestTrainLstm:
         for pa, pb in zip(a.params(), b.params()):
             assert np.array_equal(pa, pb)
 
+    def test_trained_model_holds_no_layer_caches(self):
+        # The caches would keep the last batch's step block alive with the model.
+        model = train_lstm(_PERIODIC, _WINDOW3)
+        for layer in (model.dense, model.proj):
+            assert layer._x is None and layer._y is None
+            assert layer._buffers == {}
+
     def test_lstm_golden_digest(self):
         corpus = _golden_corpus()
         model = train_lstm(corpus, _GOLDEN)
