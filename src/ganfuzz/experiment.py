@@ -5,8 +5,9 @@ corpus; the corpus is merged and deduplicated; each strategy then produces
 a synthetic seed batch and a reinitialized fuzzer runs phase 2, in a forked
 child process for every strategy but the first. GAN training runs its
 restarts in parallel the same way, from within whichever process trains
-it. Each `forking.forked` block runs at most one process per usable CPU,
-and the results equal those of one process. Reports carry both
+it. Each `forking.forked` block starts at most one child per usable CPU,
+so a GAN trained in a phase-2 child adds up to `restarts - 1` processes to
+the run's; the results equal those of one process. Reports carry both
 virtual-time (execution count) and wall-clock rates.
 """
 

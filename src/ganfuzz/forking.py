@@ -2,19 +2,24 @@
 
 `run_experiment` runs its phase-2 strategies through `forked`, and
 `train_gan` its restarts; a strategy's child may therefore fork again.
+Each block starts at most one child per usable CPU, so a GAN trained in a
+phase-2 child adds up to `restarts - 1` processes to those of the outer
+block.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
 
 @contextmanager
 def forked(jobs: list[Callable[[], object]]) -> Iterator[Iterator]:
-    """Start each job in a forked child process, at most one process per
+    """Start each job in a forked child process, at most one child per
     usable CPU, and yield an iterator over their results in job order, which
     raises a job's exception. Where there is no fork, the iterator runs each
     job in this process when its result is asked for.
@@ -23,7 +28,9 @@ def forked(jobs: list[Callable[[], object]]) -> Iterator[Iterator]:
     its result or exception is pickled back. The package starts no threads
     of its own, and OpenBLAS shuts its thread pool down before a fork.
     Children are not daemonic, so a job may use `forked` itself. Leaving the
-    block kills and reaps every child still running.
+    block sends SIGTERM to every child still running and reaps it; a child
+    turns SIGTERM into `SystemExit`, so its own `forked` block stops and
+    reaps its children in turn before it ends.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         yield (job() for job in jobs)
@@ -35,22 +42,39 @@ def forked(jobs: list[Callable[[], object]]) -> Iterator[Iterator]:
     try:
         for c in range(n):
             receive, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_serve, args=(jobs[c::n], send), daemon=False)
-            child.start()
-            children.append((child, receive))
+            reads = [r for _, r in children] + [receive]
+            child = ctx.Process(target=_serve, args=(jobs[c::n], send, reads),
+                                daemon=False)
+            # SIGTERM waits until the child is listed here to be stopped,
+            # and in the child until _serve handles it.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+            try:
+                child.start()
+                children.append((child, receive))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             send.close()
         yield _receive(children, len(jobs))
     finally:
-        for child, receive in children:
+        for child, _ in children:
             if child.is_alive():
-                child.kill()
+                child.terminate()
+        for child, receive in children:
             child.join()
             receive.close()
 
 
-def _serve(jobs: list[Callable[[], object]], send) -> None:
+def _serve(jobs: list[Callable[[], object]], send, reads) -> None:
     """A forked child's work: send (True, result) for each job, in order, or
-    (False, exception) for the first that raises and stop."""
+    (False, exception) for the first that raises and stop.
+
+    SIGTERM raises `SystemExit`, which unwinds the jobs' own `forked`
+    blocks. The child closes its copies of the block's read ends, so a send
+    fails rather than blocks once the parent is gone."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+    for read in reads:
+        read.close()
     for job in jobs:
         try:
             outcome = (True, job())

@@ -49,8 +49,8 @@ class GanConfig:
     # Independent training restarts; the run with the best (lowest) probe
     # moment score is kept. Adversarial training has heavy-tailed run-to-run
     # variance, so restart selection is the cheapest reliability lever.
-    # Restarts after the first train in forked processes, at most one per
-    # usable CPU, and the kept model is the one sequential training keeps.
+    # Restarts after the first train in forked processes, at most one child
+    # per usable CPU, and the kept model is the one sequential training keeps.
     restarts: int = 1
     rng_seed: int = 0
 
@@ -80,8 +80,9 @@ def _discriminate(model_layers, x, rate, rng, training):
 def train_gan(corpus, config: GanConfig) -> GanModel:
     """Train `config.restarts` independent G/D pairs and keep the first with
     the lowest moment score. Restart 0 trains in this process while the
-    others train in forked processes, at most one per usable CPU (`forked`);
-    the kept model, bit for bit, is the one training them in order keeps.
+    others train in forked processes, at most one child per usable CPU
+    (`forked`), on top of any that the caller's own block runs; the kept
+    model, bit for bit, is the one training them in order keeps.
     `train_time` is the wall time of the whole call."""
     if not corpus:
         raise UsageError("train_gan needs a non-empty corpus")

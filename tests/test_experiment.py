@@ -3,6 +3,8 @@
 import hashlib
 import multiprocessing
 import os
+import signal
+import time
 from dataclasses import replace
 
 import pytest
@@ -323,6 +325,20 @@ def _run_files(out):
             if p.is_file()}
 
 
+# "gan" is not first, so its phase-2 child forks the GAN's restarts 1 and 2.
+_NESTED_PLAN = ExperimentPlan(phase1_execs=2000, phase2_execs=500,
+                              strategies=("rand_urandom", "gan"), gan_restarts=3,
+                              gan_epochs=5, samples_per_strategy=20)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestPhase2Processes:
     """Strategies after the first run in forked children; none may outlive
     run_experiment, and every artifact is the one a single process writes."""
@@ -362,10 +378,7 @@ class TestPhase2Processes:
         assert _golden_digest(tmp_path / "run") == GOLDEN_RUN_ARTIFACTS_SHA256
 
     def test_gan_restarts_fork_again_inside_a_phase2_child(self, tmp_path, monkeypatch):
-        # "gan" is not first, so its child forks the GAN's restarts 1 and 2.
-        plan = ExperimentPlan(phase1_execs=2000, phase2_execs=500,
-                              strategies=("rand_urandom", "gan"), gan_restarts=3,
-                              gan_epochs=5, samples_per_strategy=20)
+        plan = _NESTED_PLAN
         train_once = gan._train_gan_once
         where = tmp_path / "where"
         where.mkdir()
@@ -383,10 +396,50 @@ class TestPhase2Processes:
         (first, _), later = pids[0], pids[1:]
         assert first != os.getpid()  # restart 0 ran in gan's phase-2 child
         assert all(pid != first and parent == first for pid, parent in later)
+        assert not any(_alive(pid) for pid, _ in later)
         no_fork(monkeypatch)
         in_order = run_experiment(plan, tmp_path / "in_order")
         assert _virtual_reports(forked) == _virtual_reports(in_order)
         assert _run_files(tmp_path / "forked") == _run_files(tmp_path / "in_order")
+
+    def test_a_failing_parent_stops_the_restarts_of_a_phase2_child(self, tmp_path,
+                                                                   monkeypatch):
+        # The first strategy raises in this process while gan's phase-2
+        # child waits on restarts that its own children train.
+        train_once = gan._train_gan_once
+        where = tmp_path / "where"
+        where.mkdir()
+
+        def train_once_or_hang(corpus, config, rng_seed):
+            if rng_seed == config.rng_seed:
+                return train_once(corpus, config, rng_seed)
+            (where / str(os.getpid())).touch()
+            time.sleep(600)
+
+        restart_children = min(2, len(os.sched_getaffinity(0)))
+        make_batch = experiment._make_batch
+
+        def make_batch_or_fail(strategy, *args):
+            if strategy != "rand_urandom":
+                return make_batch(strategy, *args)
+            deadline = time.monotonic() + 120
+            while (len(list(where.iterdir())) < restart_children
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            raise ValueError("no batch today")
+
+        monkeypatch.setattr(gan, "_train_gan_once", train_once_or_hang)
+        monkeypatch.setattr(experiment, "_make_batch", make_batch_or_fail)
+        with pytest.raises(ValueError, match="no batch today"):
+            run_experiment(_NESTED_PLAN, tmp_path / "run")
+        pids = [int(p.name) for p in where.iterdir()]
+        try:
+            assert len(pids) == restart_children
+            assert [pid for pid in pids if _alive(pid)] == []
+            assert multiprocessing.active_children() == []
+        finally:
+            for pid in filter(_alive, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_a_target_that_does_not_pickle_runs_in_children(self, tmp_path, monkeypatch):
         target = TargetProgram("minikey",
