@@ -53,7 +53,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_train(args) -> int:
-    seeds = _load_corpus_arg(args.corpus)
+    seeds = [s.data for s in _load_corpus_arg(args.corpus)]
     if args.strategy == "gan":
         model = train_gan(seeds, GanConfig(epochs=args.epochs, rng_seed=args.rng_seed))
         save_gan(model, args.model)
@@ -69,11 +69,12 @@ def cmd_generate(args) -> int:
     if args.strategy == "gan":
         batch = gan_generate(load_gan(args.model), args.n, args.rng_seed)
     elif args.strategy == "lstm":
+        corpus = [s.data for s in _load_corpus_arg(args.corpus)]
         batch = lstm_generate(load_lstm(args.model), args.n, args.temperature,
-                              _load_corpus_arg(args.corpus), args.rng_seed)
+                              corpus, args.rng_seed)
     elif args.strategy == "rand_corpus":
-        batch = random_from_corpus(_load_corpus_arg(args.corpus), args.n,
-                                   args.len, args.rng_seed)
+        corpus = [s.data for s in _load_corpus_arg(args.corpus)]
+        batch = random_from_corpus(corpus, args.n, args.len, args.rng_seed)
     else:
         batch = random_urandom(args.n, args.len, args.rng_seed,
                                os_entropy=args.os_entropy)

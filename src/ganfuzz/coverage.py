@@ -46,20 +46,16 @@ _TOP = len(_BUCKET_BIT) - 1
 class CoverageMap:
     """Global bucket-bit accumulator; mutated only through update().
 
-    The bits live in a bytearray, which update() indexes as Python ints;
-    `cells` is a uint8[MAP_SIZE] numpy view of the same memory.
+    The bits live in a bytearray, which update() indexes as Python ints.
     """
 
     def __init__(self):
-        self.__setstate__(bytearray(MAP_SIZE))
+        self._bits = bytearray(MAP_SIZE)
 
-    # A copy (pickle, copy.deepcopy) keeps `cells` a view of its own bits.
-    def __getstate__(self) -> bytearray:
-        return self._bits
-
-    def __setstate__(self, bits: bytearray) -> None:
-        self._bits = bits
-        self.cells = np.frombuffer(bits, dtype=np.uint8)
+    @property
+    def cells(self) -> np.ndarray:
+        """uint8[MAP_SIZE] numpy view of this map's own bits, in a copy too."""
+        return np.frombuffer(self._bits, dtype=np.uint8)
 
     def update(self, trace: Trace) -> bool:
         """Fold one run's hits in; True iff any previously unset bucket bit was set."""

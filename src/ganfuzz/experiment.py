@@ -69,7 +69,8 @@ class StrategyReport:
 
 def compute_report(seeds, training_lengths: set[int], strategy: str = "",
                    execs: int = 0, wall: float = 0.0, train_wall: float = 0.0) -> StrategyReport:
-    """Per-strategy metrics over an analyzed seed list.
+    """Per-strategy metrics over an analyzed seed list: corpus seeds or queue
+    entries, of which only `trace_length` is read.
 
     Length statistics cover the distinct trace lengths, each once.
     """
@@ -218,8 +219,8 @@ def default_initial_seeds() -> list[bytes]:
     ]
 
 
-def _make_batch(strategy: str, train_corpus, plan: ExperimentPlan, rng_seed: int,
-                models_dir: Path | None) -> tuple[SyntheticBatch | None, float]:
+def _make_batch(strategy: str, train_corpus: list[bytes], plan: ExperimentPlan,
+                rng_seed: int, models_dir: Path | None) -> tuple[SyntheticBatch | None, float]:
     """Train (if needed) and generate one strategy's batch; returns (batch, train_wall)."""
     n = plan.samples_per_strategy
     length = median_seed_length(train_corpus)
@@ -249,7 +250,7 @@ def _make_batch(strategy: str, train_corpus, plan: ExperimentPlan, rng_seed: int
     raise UsageError(f"unknown strategy {strategy!r}")
 
 
-def _phase2(plan: ExperimentPlan, k: int, target, merged, training_lengths: set[int],
+def _phase2(plan: ExperimentPlan, k: int, target, merged: list[bytes], training_lengths: set[int],
             models_dir: Path) -> tuple[list[corpus_store.SeedFile], StrategyReport]:
     """Strategy k's batch, its reinitialized fuzzer's phase-2 run and report;
     returns the fuzzer's queue as corpus seeds, and the report."""
@@ -261,22 +262,16 @@ def _phase2(plan: ExperimentPlan, k: int, target, merged, training_lengths: set[
     config = FuzzConfig(rng_seed=strat_seed)
     if strategy == "continue" or plan.reinit_mode == "augment":
         # Rebuild the phase-1 queue, then (except for the control) inject.
-        state = FuzzerState.from_seeds([s.data for s in merged], target, config)
+        state = FuzzerState.from_seeds(merged, target, config)
         if batch is not None:
             reinitialize(state, batch, target)
     else:
         state = FuzzerState(config)
         reinitialize(state, batch, target)
-    baseline_ids = {e.id for e in state.queue}
     execs_before = state.exec_count
-    fuzz_loop(state, target, plan.phase2_execs)
+    discovered = fuzz_loop(state, target, plan.phase2_execs)
     wall = time.perf_counter() - wall_start
 
-    discovered = [
-        corpus_store.SeedFile(data=e.data, id=e.id, origin=e.origin,
-                              discovered_at=e.discovered_at, trace_length=e.trace_length)
-        for e in state.queue if e.id not in baseline_ids
-    ]
     if discovered:
         report = compute_report(discovered, training_lengths, strategy=strategy,
                                 execs=state.exec_count - execs_before, wall=wall,
@@ -315,7 +310,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
 
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [partial(_phase2, plan, k, target, merged, training_lengths, models_dir)
+    merged_data = [s.data for s in merged]
+    jobs = [partial(_phase2, plan, k, target, merged_data, training_lengths, models_dir)
             for k in range(len(plan.strategies))]
 
     written: dict[str, str] = {}  # payload sha256 -> a file holding it

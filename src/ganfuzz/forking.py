@@ -9,12 +9,15 @@ block.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import signal
 import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator
+
+_PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
 
 
 @contextmanager
@@ -30,7 +33,9 @@ def forked(jobs: list[Callable[[], object]]) -> Iterator[Iterator]:
     Children are not daemonic, so a job may use `forked` itself. Leaving the
     block sends SIGTERM to every child still running and reaps it; a child
     turns SIGTERM into `SystemExit`, so its own `forked` block stops and
-    reaps its children in turn before it ends.
+    reaps its children in turn before it ends. On Linux a child also gets
+    SIGTERM when this process dies, even by SIGKILL: the signal follows the
+    thread that forked the child, which is this block's own thread.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         yield (job() for job in jobs)
@@ -43,7 +48,8 @@ def forked(jobs: list[Callable[[], object]]) -> Iterator[Iterator]:
         for c in range(n):
             receive, send = ctx.Pipe(duplex=False)
             reads = [r for _, r in children] + [receive]
-            child = ctx.Process(target=_serve, args=(jobs[c::n], send, reads),
+            child = ctx.Process(target=_serve,
+                                args=(jobs[c::n], send, reads, os.getpid()),
                                 daemon=False)
             # SIGTERM waits until the child is listed here to be stopped,
             # and in the child until _serve handles it.
@@ -64,14 +70,20 @@ def forked(jobs: list[Callable[[], object]]) -> Iterator[Iterator]:
             receive.close()
 
 
-def _serve(jobs: list[Callable[[], object]], send, reads) -> None:
+def _serve(jobs: list[Callable[[], object]], send, reads, parent: int) -> None:
     """A forked child's work: send (True, result) for each job, in order, or
     (False, exception) for the first that raises and stop.
 
     SIGTERM raises `SystemExit`, which unwinds the jobs' own `forked`
-    blocks. The child closes its copies of the block's read ends, so a send
-    fails rather than blocks once the parent is gone."""
+    blocks. On Linux the parent's death sends it; a parent that died
+    before it was asked for is caught by the `getppid` check. The child
+    closes its copies of the block's read ends, so a send fails rather
+    than blocks once the parent is gone."""
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
+    if sys.platform.startswith("linux"):
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent:
+        sys.exit(1)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     for read in reads:
         read.close()

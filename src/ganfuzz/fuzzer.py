@@ -258,7 +258,9 @@ def havoc(data: bytes, queue: list[QueueEntry], rng: np.random.Generator) -> byt
 
 
 def fuzz_loop(state: FuzzerState, target: TargetProgram, exec_budget: int) -> list[QueueEntry]:
-    """Run mutation executions until `exec_budget` is spent; return admissions.
+    """Run mutation executions until `exec_budget` is spent; return the
+    entries admitted, in id order: the queue's tail `state.queue[start:]`,
+    where `start` is the queue's length on entry.
 
     A deterministic candidate that repeats an earlier one of its pass is
     charged one exec of virtual time but not run: it would set no new
@@ -268,11 +270,11 @@ def fuzz_loop(state: FuzzerState, target: TargetProgram, exec_budget: int) -> li
         raise UsageError(f"exec_budget must be >= 0, got {exec_budget}")
     if not state.queue:
         raise UsageError("fuzz_loop needs a non-empty queue; use FuzzerState.from_seeds")
-    new_entries: list[QueueEntry] = []
+    start = len(state.queue)
     spent = 0
     while spent < exec_budget:
-        spent += _fuzz_round(state, target, exec_budget - spent, new_entries)
-    return new_entries
+        spent += _fuzz_round(state, target, exec_budget - spent)
+    return state.queue[start:]
 
 
 def _next_round_is_havoc(state: FuzzerState) -> bool:
@@ -281,10 +283,9 @@ def _next_round_is_havoc(state: FuzzerState) -> bool:
     return state.queue[state._cursor % len(state.queue)].det_done
 
 
-def _fuzz_round(state: FuzzerState, target: TargetProgram, exec_budget: int,
-                new_entries: list[QueueEntry]) -> int:
+def _fuzz_round(state: FuzzerState, target: TargetProgram, exec_budget: int) -> int:
     """Run the open round, or start the next, for at most `exec_budget` (> 0)
-    execs; append admissions to new_entries and return the execs spent."""
+    execs; return the execs spent."""
     if state._round is None:
         state._round = (state.queue[state._cursor % len(state.queue)], 0, {})
         state._cursor += 1
@@ -299,9 +300,9 @@ def _fuzz_round(state: FuzzerState, target: TargetProgram, exec_budget: int,
         if isinstance(candidate, int):  # a repeat of candidate number `candidate`
             state.exec_count += 1
             first = crashes.get(candidate)
-            admitted = None if first is None else state._admit(
-                first.data, "mutation", entry.id, first.trace_length, first.outcome,
-                novel=False)
+            if first is not None:
+                state._admit(first.data, "mutation", entry.id, first.trace_length,
+                             first.outcome, novel=False)
         else:
             admitted = state._run_and_admit(
                 target, candidate, origin="mutation", parent=entry.id, force=False
@@ -310,8 +311,6 @@ def _fuzz_round(state: FuzzerState, target: TargetProgram, exec_budget: int,
                 crashes[done] = admitted
         spent += 1
         done += 1
-        if admitted is not None:
-            new_entries.append(admitted)
         if spent >= exec_budget:
             # Left for the next call to resume; the check comes after the
             # exec so that no havoc draw is spent on an unrun candidate.
@@ -366,7 +365,7 @@ def run_workers(n_workers: int, target: TargetProgram, seeds: list[bytes],
     first = FuzzerState.from_seeds(seeds, target, config)
     spent = 0
     while spent < exec_budget and not _next_round_is_havoc(first):
-        spent += _fuzz_round(first, target, exec_budget - spent, [])
+        spent += _fuzz_round(first, target, exec_budget - spent)
     prefix = pickle.dumps(first)
     states = [first]
     for i in range(1, n_workers):

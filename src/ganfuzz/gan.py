@@ -27,6 +27,9 @@ from .synth import SyntheticBatch, median_seed_length
 log = logging.getLogger(__name__)
 
 GAN_TAG = 0x01
+# Elementwise clip on the gradient reaching the generator, a stabilizer for
+# the adversarial loop.
+G_GRAD_CLIP = 0.05
 
 
 @dataclass
@@ -38,12 +41,10 @@ class GanConfig:
     batch_size: int = 64
     g_lr: float = 0.01  # generator: plain SGD
     d_lr: float = 0.0002  # discriminator: Adam
-    # Stabilizers for the adversarial loop: elementwise clip on the gradient
-    # reaching the generator (0 disables), and a late-training anneal that
-    # multiplies both learning rates by anneal_factor each epoch after
-    # anneal_after_epoch (0 disables). Without the anneal the pair settles
-    # into a limit cycle where G orbits the data instead of landing on it.
-    g_grad_clip: float = 0.05
+    # Late-training anneal, a stabilizer for the adversarial loop: both
+    # learning rates are multiplied by anneal_factor each epoch after
+    # anneal_after_epoch (0 disables). Without it the pair settles into a
+    # limit cycle where G orbits the data instead of landing on it.
     anneal_after_epoch: int = 0
     anneal_factor: float = 0.93
     # Independent training restarts; the run with the best (lowest) probe
@@ -77,12 +78,13 @@ def _discriminate(model_layers, x, rate, rng, training):
 
 
 @nn.one_blas_thread()
-def train_gan(corpus, config: GanConfig) -> GanModel:
-    """Train `config.restarts` independent G/D pairs and keep the first with
-    the lowest moment score. Restart 0 trains in this process while the
-    others train in forked processes, at most one child per usable CPU
-    (`forked`), on top of any that the caller's own block runs; the kept
-    model, bit for bit, is the one training them in order keeps.
+def train_gan(corpus: list[bytes], config: GanConfig) -> GanModel:
+    """Train `config.restarts` independent G/D pairs on a corpus (a list of
+    bytes) and keep the first with the lowest moment score. Restart 0 trains
+    in this process while the others train in forked processes, at most one
+    child per usable CPU (`forked`), on top of any that the caller's own
+    block runs; the kept model, bit for bit, is the one training them in
+    order keeps.
     `train_time` is the wall time of the whole call."""
     if not corpus:
         raise UsageError("train_gan needs a non-empty corpus")
@@ -102,17 +104,14 @@ def train_gan(corpus, config: GanConfig) -> GanModel:
     return best
 
 
-def _train_gan_once(corpus, config: GanConfig, rng_seed: int) -> GanModel:
+def _train_gan_once(corpus: list[bytes], config: GanConfig, rng_seed: int) -> GanModel:
     output_len = config.output_len or median_seed_length(corpus)
     if output_len < 1:
         raise UsageError("output_len must be >= 1")
 
     start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    real = np.stack([
-        encode_bytes(item.data if hasattr(item, "data") else item, output_len)
-        for item in corpus
-    ])
+    real = np.stack([encode_bytes(data, output_len) for data in corpus])
 
     g_hidden = 4 * config.latent_dim
     generator = [
@@ -179,8 +178,7 @@ def _train_gan_once(corpus, config: GanConfig, rng_seed: int) -> GanModel:
                 "binary_cross_entropy", probs, np.ones((m, 1))
             )
             grad_fake = nn.backward(discriminator, grad)
-            if config.g_grad_clip > 0.0:
-                np.clip(grad_fake, -config.g_grad_clip, config.g_grad_clip, out=grad_fake)
+            np.clip(grad_fake, -G_GRAD_CLIP, G_GRAD_CLIP, out=grad_fake)
             nn.backward(generator, grad_fake, input_grad=False)
             g_opt.step(nn.parameters(generator), nn.gradients(generator))
             nn.assert_finite(nn.parameters(generator), "generator update")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .errors import UsageError
-from .synth import SyntheticBatch, corpus_bytes
+from .synth import SyntheticBatch
 
 VOCAB = 256
 LSTM_TAG = 0x02
@@ -222,8 +222,10 @@ def init_lstm(config: LstmConfig) -> LstmModel:
 
 
 @nn.one_blas_thread()
-def train_lstm(corpus, config: LstmConfig) -> LstmModel:
-    text = np.frombuffer(corpus_bytes(corpus), dtype=np.uint8)
+def train_lstm(corpus: list[bytes], config: LstmConfig) -> LstmModel:
+    """Train on the sliding windows of a corpus, given as a list of bytes and
+    read as one concatenated text."""
+    text = np.frombuffer(b"".join(corpus), dtype=np.uint8)
     if text.size <= config.window:
         raise UsageError(
             f"concatenated corpus ({text.size} bytes) must exceed window ({config.window})"
@@ -266,14 +268,15 @@ def sample_distribution(logits: np.ndarray, temperature: float,
     return nn.apply_activation("softmax", scaled, out=scaled)
 
 
-def lstm_generate(model: LstmModel, n: int, temperature: float, corpus,
+def lstm_generate(model: LstmModel, n: int, temperature: float, corpus: list[bytes],
                   rng_seed: int) -> SyntheticBatch:
-    """Prime with random corpus windows, then sample up to max_gen_len bytes."""
+    """Prime with random windows of the concatenated corpus (a list of
+    bytes), then sample up to max_gen_len bytes."""
     if temperature <= 0:
         raise UsageError("temperature must be > 0")
     if n < 1:
         raise UsageError("n must be >= 1")
-    text = np.frombuffer(corpus_bytes(corpus), dtype=np.uint8)
+    text = np.frombuffer(b"".join(corpus), dtype=np.uint8)
     if text.size < model.window:
         raise UsageError("corpus shorter than the priming window")
     rng = np.random.Generator(np.random.PCG64(rng_seed))

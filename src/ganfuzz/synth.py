@@ -22,21 +22,14 @@ class SyntheticBatch:
             raise UsageError(f"unknown strategy {self.strategy!r}")
 
 
-def corpus_bytes(corpus) -> bytes:
-    """Concatenate the payloads of a seed corpus (SeedFile list or bytes list)."""
-    parts = []
-    for item in corpus:
-        parts.append(item.data if hasattr(item, "data") else item)
-    return b"".join(parts)
-
-
-def random_from_corpus(corpus, n: int, length: int, rng_seed: int) -> SyntheticBatch:
-    """Draw every output byte i.i.d. uniformly from the corpus byte multiset."""
+def random_from_corpus(corpus: list[bytes], n: int, length: int, rng_seed: int) -> SyntheticBatch:
+    """Draw every output byte i.i.d. uniformly from the byte multiset of a
+    corpus given as a list of bytes."""
     if not corpus:
         raise UsageError("random_from_corpus needs a non-empty corpus")
     if n < 1 or length < 1:
         raise UsageError("n and length must be >= 1")
-    pool = np.frombuffer(corpus_bytes(corpus), dtype=np.uint8)
+    pool = np.frombuffer(b"".join(corpus), dtype=np.uint8)
     if pool.size == 0:
         raise UsageError("corpus contains no bytes")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
@@ -57,10 +50,11 @@ def random_urandom(n: int, length: int, rng_seed: int, os_entropy: bool = False)
     return SyntheticBatch("rand_urandom", seeds)
 
 
-def median_seed_length(corpus, low: int = 16, high: int = 256) -> int:
-    """Default GAN output length: median training-seed length, clamped."""
+def median_seed_length(corpus: list[bytes], low: int = 16, high: int = 256) -> int:
+    """Default GAN output length: the median length of a corpus given as a
+    list of bytes, clamped to [low, high]."""
     if not corpus:
         raise UsageError("empty corpus")
-    lengths = sorted(len(item.data if hasattr(item, "data") else item) for item in corpus)
+    lengths = sorted(map(len, corpus))
     median = lengths[len(lengths) // 2]
     return max(low, min(high, median))

@@ -286,9 +286,3 @@ def build_minikey_input(version: int, records: list[bytes]) -> bytes:
     for b in body:
         checksum ^= b
     return body + bytes([checksum])
-
-
-def build_crash_input() -> bytes:
-    """The planted defect: v2 file with an empty key inside a nested list."""
-    inner = build_record(REC_KEY, b"")
-    return build_minikey_input(2, [build_record(REC_NESTED, inner)])

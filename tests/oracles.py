@@ -134,6 +134,13 @@ def record_edges(data: bytes, edge_budget: int = targets.DEFAULT_EDGE_BUDGET):
     return edges, targets.OUTCOME_OK
 
 
+def build_crash_input() -> bytes:
+    """minikey's planted defect: a v2 file with an empty key inside a
+    nested list."""
+    inner = targets.build_record(targets.REC_KEY, b"")
+    return targets.build_minikey_input(2, [targets.build_record(targets.REC_NESTED, inner)])
+
+
 def brute_hits(edges) -> dict[int, int]:
     """Per-cell hit counts of an edge sequence: XOR of consecutive edge ids
     (the first paired with 0), then bincount."""

@@ -108,6 +108,19 @@ class TestSubcommands:
                      "--out", str(out), "--rng-seed", "2"]) == 0
         assert len(load_corpus(out)) == 5
 
+    def test_train_and_generate_gan(self, mini_corpus, tmp_path):
+        model = tmp_path / "gan.bin"
+        assert main(["train", "--strategy", "gan", "--corpus", str(mini_corpus),
+                     "--model", str(model), "--epochs", "2",
+                     "--rng-seed", "0"]) == 0
+        out = tmp_path / "seeds"
+        assert main(["generate", "--strategy", "gan", "--model", str(model),
+                     "--n", "5", "--out", str(out), "--rng-seed", "2"]) == 0
+        seeds = load_corpus(out)
+        assert len(seeds) == 5
+        assert all(s.origin == "gan" for s in seeds)
+        assert len({len(s.data) for s in seeds}) == 1
+
     def test_dedup_by_length(self, mini_corpus, tmp_path, capsys):
         out = tmp_path / "d"
         code = main(["dedup", "--corpus", str(mini_corpus), "--out", str(out),

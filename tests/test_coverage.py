@@ -1,5 +1,6 @@
 """Unit tests for the bucketed edge-pair coverage map."""
 
+import copy
 import pickle
 
 from ganfuzz.coverage import MAP_SIZE, CoverageMap, _BUCKET_BIT, bucket_index, edge_cell
@@ -84,9 +85,10 @@ def test_large_edge_ids_wrap_into_map():
 
 
 def test_pickled_copy_keeps_cells_a_view_of_its_own_bits():
-    cov = CoverageMap()
-    cov.update(_trace_with_count(1))
-    copy = pickle.loads(pickle.dumps(cov))
-    assert copy.update(_trace_with_count(2))
-    assert copy.cells[5] == 0b11
-    assert cov.cells[5] == 0b01
+    for make_copy in (lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy):
+        cov = CoverageMap()
+        cov.update(_trace_with_count(1))
+        clone = make_copy(cov)
+        assert clone.update(_trace_with_count(2))
+        assert clone.cells[5] == 0b11
+        assert cov.cells[5] == 0b01

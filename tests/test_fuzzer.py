@@ -37,9 +37,23 @@ GOLDEN_20K_QUEUE_SHA256 = "b8df29632ac0ebd045477f4f483333589a5beb62c5860a1668721
 GOLDEN_CRASH_FLOOD_SHA256 = "d439535a9bbfcf94bfb2b24cf7d97728683bc77b361891d4495123010e92929c"
 
 
-def _queue_fingerprint(state):
+def _fingerprint(entries):
     return [(e.id, e.data, e.origin, e.discovered_at, e.trace_length, e.outcome)
-            for e in state.queue]
+            for e in entries]
+
+
+def _queue_fingerprint(state):
+    return _fingerprint(state.queue)
+
+
+def _tail_return(state, budget):
+    """fuzz_loop's return, checked to be the queue's tail from where the
+    call began, entry for entry."""
+    start = len(state.queue)
+    new = fuzz_loop(state, MINIKEY, budget)
+    assert len(new) == len(state.queue) - start
+    assert all(a is b for a, b in zip(new, state.queue[start:]))
+    return new
 
 
 def _whole_state(state):
@@ -197,16 +211,18 @@ class TestFuzzLoop:
         # is resumed by the next call on the same entry, so the split run is
         # the single run. The queue grows during the cut passes.
         single = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=0))
-        fuzz_loop(single, MINIKEY, 60_000)
+        whole = _tail_return(single, 60_000)
         cuts = []
         split = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=0))
+        returned = []
         for budget in (7, 9_993, 10_000, 30_000, 800, 4_203, 4_997):
-            fuzz_loop(split, MINIKEY, budget)
+            returned += _tail_return(split, budget)
             cuts.append("havoc" if split._round[0].det_done else "det")
         assert {"det", "havoc"} <= set(cuts)
         assert _queue_fingerprint(split) == _queue_fingerprint(single)
         assert _admission_lines(split) == _admission_lines(single)
         assert split.exec_count == single.exec_count == 60_001
+        assert _fingerprint(returned) == _fingerprint(whole) and whole
 
     def test_golden_crash_flood_digest(self):
         state = FuzzerState.from_seeds(default_initial_seeds(), MINIKEY, FuzzConfig(rng_seed=0))
@@ -219,13 +235,17 @@ class TestFuzzLoop:
         # with crashes already admitted, whose repeats the resumed pass must
         # still admit.
         state = FuzzerState.from_seeds(default_initial_seeds(), MINIKEY, FuzzConfig(rng_seed=0))
+        single = FuzzerState.from_seeds(default_initial_seeds(), MINIKEY, FuzzConfig(rng_seed=0))
+        whole = _tail_return(single, 110_000)
         carried = 0
+        returned = []
         for budget in (60_000, 45_000, 2_437, 1_000, 555, 321, 687):
-            fuzz_loop(state, MINIKEY, budget)
+            returned += _tail_return(state, budget)
             entry, done, crashes = state._round
             carried += entry.outcome == "crash" and not entry.det_done and bool(crashes)
         assert carried == 5
         assert _run_digest(state) == GOLDEN_CRASH_FLOOD_SHA256
+        assert _fingerprint(returned) == _fingerprint(whole) and whole
 
     def test_virtual_time_strictly_increasing(self):
         state = FuzzerState.from_seeds([b"MKEY"], MINIKEY, FuzzConfig(rng_seed=1))

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from ganfuzz.corpus import SeedFile
 from ganfuzz.errors import UsageError
 from ganfuzz.synth import (
     SyntheticBatch,
-    corpus_bytes,
     median_seed_length,
     random_from_corpus,
     random_urandom,
@@ -17,12 +15,6 @@ from ganfuzz.synth import (
 def test_unknown_strategy_rejected():
     with pytest.raises(UsageError):
         SyntheticBatch("markov", [b"x"])
-
-
-def test_corpus_bytes_accepts_seedfiles_and_raw_bytes():
-    seeds = [SeedFile(data=b"ab", id=0, origin="x", discovered_at=0)]
-    assert corpus_bytes(seeds) == b"ab"
-    assert corpus_bytes([b"ab", b"cd"]) == b"abcd"
 
 
 class TestRandomFromCorpus:

@@ -14,7 +14,6 @@ from ganfuzz.targets import (
     REC_KEY,
     REC_LABEL,
     REC_NESTED,
-    build_crash_input,
     build_minikey_input,
     build_record,
     execute,
@@ -22,7 +21,7 @@ from ganfuzz.targets import (
     minikey,
 )
 
-from oracles import brute_hits, record_edges
+from oracles import brute_hits, build_crash_input, record_edges
 
 # Golden traces, frozen at first build.
 GOLDEN_VALID_EMPTY = [0, 3, 4, 8, 25, 29]  # enter, magic ok, v1, count, checksum ok, done
