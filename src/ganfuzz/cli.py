@@ -65,6 +65,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    for flag, strategies in (("model", ("gan", "lstm")), ("corpus", ("lstm", "rand_corpus"))):
+        if args.strategy in strategies and getattr(args, flag) is None:
+            raise UsageError(f"--strategy {args.strategy} needs --{flag}")
     out = _check_out_dir(args.out, args.force)
     if args.strategy == "gan":
         batch = gan_generate(load_gan(args.model), args.n, args.rng_seed)

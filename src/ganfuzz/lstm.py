@@ -5,6 +5,11 @@ Trained many-to-one (predict the byte following a sliding window of the
 concatenated corpus) with categorical cross-entropy and RMSProp. Sampling
 primes the recurrent state with a random corpus window, then draws bytes
 autoregressively with temperature-scaled softmax.
+
+The model trains and samples in float32 (`DTYPE`): its products and gate
+kernels take about half the float64 time. Parameters are drawn in float64
+from the seeded RNG, then cast; saved models hold the float32 values exactly
+in the float64 SFNN payload, and load as float32.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .synth import SyntheticBatch
 VOCAB = 256
 LSTM_TAG = 0x02
 GREEDY_TEMPERATURE = 1e-4  # below this, sampling degenerates to argmax
+DTYPE = np.float32  # of every parameter, buffer and gradient
 
 
 @dataclass
@@ -50,6 +56,12 @@ class LstmModel:
     losses: list[float] = field(default_factory=list, repr=False)
     train_time: float = 0.0
 
+    def __post_init__(self):
+        self.wx, self.wh, self.b = (p.astype(DTYPE, copy=False) for p in (self.wx, self.wh, self.b))
+        for layer in (self.dense, self.proj):
+            layer.weights = layer.weights.astype(DTYPE, copy=False)
+            layer.bias = layer.bias.astype(DTYPE, copy=False)
+
     @property
     def hidden_width(self) -> int:
         return self.wh.shape[0]
@@ -64,31 +76,35 @@ class _Steps:
     """Buffers for running a (batch, T) window batch through the recurrence.
 
     With keep=True (training) every step stays for BPTT. Row k of `gates`,
-    `g` and `tc` belongs to step T-1-k, the order in which the dwx scatter
-    adds the steps up: the activated (i, f, ., o) gates, tanh of the cell
-    input and tanh(c). Rows t and t+1 of `h` and `c` are the state before and
-    after step t; row 0 is the zero state. With keep=False (inference) one
-    step's rows are reused for every step and `h`, `c` alternate between two.
+    `g` and `tc` belongs to step T-1-k, the order in which BPTT visits the
+    steps: the activated (i, f, ., o) gates, tanh of the cell input and
+    tanh(c). Rows k+1 and k of `h` and `c` are the state before and after that
+    step, so row T is the zero state, row 0 the final one, and `h[1:]` lines
+    up with `gates` for dwh. With keep=False (inference) one step's rows are
+    reused for every step and `h`, `c` alternate between two, ending in row 0.
 
-    g, tc, h and c share one buffer. They are dead once BPTT has run, and the
+    g, tc, h and c share one block. They are dead once BPTT has run, and the
     flat dwx cell of every dgates entry, which the scatter needs, is written
-    over them (`cells`); so each forward pass starts by zeroing row 0.
+    over them (`cells`); so each forward pass starts by zeroing its first
+    state row.
     """
 
-    def __init__(self, hw: int, batch: int, steps: int, keep: bool):
+    def __init__(self, hw: int, batch: int, steps: int, keep: bool, dtype: np.dtype):
         self.keep = keep
         kept = steps if keep else 1
-        self.gates = np.empty((kept, batch, 4 * hw))
-        state = np.empty((4 * kept + 2) * batch * hw)
+        self.gates = np.empty((kept, batch, 4 * hw), dtype)
+        n = (4 * kept + 2) * batch * hw
+        block = np.empty(n, np.intp)  # n words hold n floats of either precision
+        state = block.view(dtype)[:n]
         ends = np.cumsum([0, kept, kept, kept + 1, kept + 1]) * batch * hw
         self.g, self.tc, self.h, self.c = (
             state[a:b].reshape(-1, batch, hw) for a, b in zip(ends, ends[1:]))
-        self.cells = state.view(np.intp)[: self.gates.size].reshape(self.gates.shape)
+        self.cells = block[: self.gates.size].reshape(self.gates.shape)
         # Step scratch: wide[0] takes h @ wh; BPTT uses both and the rest.
-        self.wide = np.empty((2 if keep else 1, batch, 4 * hw))
+        self.wide = np.empty((2 if keep else 1, batch, 4 * hw), dtype)
         if keep:
-            self.narrow = np.empty((2, batch, hw))
-            self.dwh_part = np.empty((hw, 4 * hw))
+            self.narrow = np.empty((2, batch, hw), dtype)
+            self.cell_ids = np.arange(VOCAB * 4 * hw).reshape(VOCAB, 4 * hw)  # flat wx cells
         self.x: np.ndarray | None = None  # (T, batch) byte indices, last step first
 
     def fits(self, batch: int, steps: int, keep: bool) -> bool:
@@ -96,15 +112,15 @@ class _Steps:
             self.gates.shape[0] == steps or not keep)
 
 
-def _cell_forward(model: LstmModel, x_idx: np.ndarray, st: _Steps, k: int, p: int, q: int):
+def _cell_forward(model: LstmModel, wxb: np.ndarray, x_idx: np.ndarray, st: _Steps,
+                  k: int, p: int, q: int):
     """One LSTM step for a batch of byte indices from state (h[p], c[p]) into
-    (h[q], c[q]); its gates, tanh(g) and tanh(c) go to row k."""
+    (h[q], c[q]); its gates, tanh(g) and tanh(c) go to row k. wxb is wx + b."""
     hw = model.hidden_width
     gates = st.gates[k]
     # Bytes are < 256, so "clip" clips nothing; "raise" would copy via a temporary.
-    np.take(model.wx, x_idx, axis=0, out=gates, mode="clip")
+    np.take(wxb, x_idx, axis=0, out=gates, mode="clip")
     gates += np.matmul(st.h[p], model.wh, out=st.wide[0])
-    gates += model.b
     np.tanh(gates[:, 2 * hw : 3 * hw], out=st.g[k])
     nn.apply_activation("sigmoid", gates, out=gates)  # the g columns go unused
     c = np.multiply(gates[:, hw : 2 * hw], st.c[p], out=st.c[q])
@@ -116,14 +132,17 @@ def _cell_forward(model: LstmModel, x_idx: np.ndarray, st: _Steps, k: int, p: in
 def _recur(model: LstmModel, windows: np.ndarray, st: _Steps) -> np.ndarray:
     """Run windows from the zero state through st; returns the final h."""
     steps = windows.shape[1]
-    st.h[0] = 0.0
-    st.c[0] = 0.0
+    first = steps if st.keep else steps % 2
+    st.h[first] = 0.0
+    st.c[first] = 0.0
+    wxb = model.wx + model.b
     for t in range(steps):
+        k = steps - 1 - t
         if st.keep:
-            _cell_forward(model, windows[:, t], st, steps - 1 - t, t, t + 1)
+            _cell_forward(model, wxb, windows[:, t], st, k, k + 1, k)
         else:
-            _cell_forward(model, windows[:, t], st, 0, t % 2, 1 - t % 2)
-    return st.h[steps if st.keep else steps % 2]
+            _cell_forward(model, wxb, windows[:, t], st, 0, (k + 1) % 2, k % 2)
+    return st.h[0]
 
 
 def _forward_window(model: LstmModel, windows: np.ndarray, cache: bool = True,
@@ -134,9 +153,9 @@ def _forward_window(model: LstmModel, windows: np.ndarray, cache: bool = True,
     cache, when they fit."""
     batch, length = windows.shape
     if steps is None or not steps.fits(batch, length, cache):
-        steps = _Steps(model.hidden_width, batch, length, keep=cache)
+        steps = _Steps(model.hidden_width, batch, length, keep=cache, dtype=model.wh.dtype)
     h = _recur(model, windows, steps)
-    c = steps.c[length if cache else length % 2]
+    c = steps.c[0]
     if cache:
         steps.x = windows[:, ::-1].T
     d = model.dense.forward(h, cache=cache)
@@ -149,22 +168,21 @@ def _backward_window(model: LstmModel, st: _Steps, grad_probs: np.ndarray):
     grad_probs is overwritten.
 
     Each step's dgates overwrite its gates row, so after the loop `st.gates`
-    holds every step's dgates, last step first. dwx is their scatter into the
-    rows of the input bytes: one bincount, which adds each cell's terms in
-    that order from 0.0, as a per-step np.add.at would.
+    holds every step's dgates, last step first. dwh and db then sum them in
+    one product and one reduction, and dwx is their scatter into the rows of
+    the input bytes: one np.add.at, which adds each cell's terms in that
+    order.
     """
     grad_d = model.proj.backward(grad_probs, overwrite=True)
     dh = model.dense.backward(grad_d)
     hw = model.hidden_width
-    steps = st.x.shape[0]
-    dwh = np.zeros_like(model.wh)
-    db = np.zeros_like(model.b)
+    steps, batch = st.x.shape
+    wh_t = np.ascontiguousarray(model.wh.T)  # a product with it is faster than with the view
     dc = np.zeros_like(dh)
     upstream, factor = st.wide
     tmp, decay = st.narrow
     st.gates[:, :, 2 * hw : 3 * hw] = 1.0  # (i, f, 1, o): the g columns pass dg through
     for k in range(steps):
-        t = steps - 1 - k
         dgates, g, tc = st.gates[k], st.g[k], st.tc[k]
         i, f, o = dgates[:, :hw], dgates[:, hw : 2 * hw], dgates[:, 3 * hw :]
         # dc += dh * o * (1 - tc * tc)
@@ -173,7 +191,7 @@ def _backward_window(model: LstmModel, st: _Steps, grad_probs: np.ndarray):
         dc += np.multiply(np.multiply(dh, o, out=tmp), decay, out=tmp)
         # dgates = (di, df, dg, do) * (i, f, 1, o) * (1 - i, 1 - f, 1 - g * g, 1 - o)
         np.multiply(dc, g, out=upstream[:, :hw])
-        np.multiply(dc, st.c[t], out=upstream[:, hw : 2 * hw])
+        np.multiply(dc, st.c[k + 1], out=upstream[:, hw : 2 * hw])
         np.multiply(dc, i, out=upstream[:, 2 * hw : 3 * hw])
         np.multiply(dh, tc, out=upstream[:, 3 * hw :])
         np.subtract(1.0, dgates, out=factor)
@@ -182,21 +200,22 @@ def _backward_window(model: LstmModel, st: _Steps, grad_probs: np.ndarray):
         dc *= f
         dgates *= upstream
         dgates *= factor
-        if t:  # h before the first step is zero: its dwh term adds nothing
-            dwh += np.matmul(st.h[t].T, dgates, out=st.dwh_part)
-        db += dgates.sum(axis=0)
-        if t:
-            np.matmul(dgates, model.wh.T, out=dh)
-    cells = np.add(st.x[:, :, None] * (4 * hw), np.arange(4 * hw), out=st.cells)
-    dwx = np.bincount(cells.ravel(), weights=st.gates.ravel(),
-                      minlength=model.wx.size).reshape(model.wx.shape)
+        if k < steps - 1:  # the first step has no earlier one to pass dh to
+            np.matmul(dgates, wh_t, out=dh)
+    # dwh = sum of h.T @ dgates over the steps but the first, whose h is zero.
+    dgates = st.gates.reshape(-1, 4 * hw)
+    dwh = st.h[1:steps].reshape(-1, hw).T @ dgates[:-batch]
+    db = dgates.sum(axis=0)
+    cells = np.take(st.cell_ids, st.x, axis=0, out=st.cells, mode="clip")
+    dwx = np.zeros_like(model.wx)
+    np.add.at(dwx.reshape(-1), cells.reshape(-1), dgates.reshape(-1))
     return [dwx, dwh, db,
             model.dense.grad_weights, model.dense.grad_bias,
             model.proj.grad_weights, model.proj.grad_bias]
 
 
-def _one_hot(indices: np.ndarray) -> np.ndarray:
-    out = np.zeros((indices.size, VOCAB))
+def _one_hot(indices: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    out = np.zeros((indices.size, VOCAB), dtype)
     out[np.arange(indices.size), indices] = 1.0
     return out
 
@@ -247,7 +266,7 @@ def train_lstm(corpus: list[bytes], config: LstmConfig) -> LstmModel:
             sel = order[lo : lo + batch]
             probs, _, _, steps = _forward_window(model, windows[sel], steps=steps)
             loss, grad = nn.loss_and_grad(
-                "categorical_cross_entropy", probs, _one_hot(targets[sel])
+                "categorical_cross_entropy", probs, _one_hot(targets[sel], probs.dtype)
             )
             grads = _backward_window(model, steps, grad)
             opt.step(model.params(), grads)
@@ -294,12 +313,13 @@ def lstm_generate(model: LstmModel, n: int, temperature: float, corpus: list[byt
         row[:window] = text[p : p + window]
     greedy = temperature < GREEDY_TEMPERATURE
     # One step's buffers, reused for every sampled byte.
-    steps = _Steps(model.hidden_width, n, window, keep=False)
-    d = np.empty((n, model.dense.n_out))
-    logits = np.empty((n, VOCAB))
-    cdf = np.empty((n, VOCAB))
+    dtype = model.wh.dtype
+    steps = _Steps(model.hidden_width, n, window, keep=False, dtype=dtype)
+    d = np.empty((n, model.dense.n_out), dtype)
+    logits = np.empty((n, VOCAB), dtype)
+    cdf = np.empty((n, VOCAB), dtype)
     above = np.empty((n, VOCAB), dtype=bool)
-    u = np.empty((n, 1))
+    u = np.empty((n, 1))  # float64: the generator fills no float32 `out`
     for t in range(length):
         h = _recur(model, stream[:, t : t + window], steps)
         model.dense.forward(h, cache=False, out=d)

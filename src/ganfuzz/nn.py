@@ -1,7 +1,12 @@
 """Minimal dense-network machinery: layers, losses, optimizers, serialization.
 
-Everything is float64 numpy, so training runs are bit-reproducible from an
-RNG seed. GAN and LSTM training and GAN sampling run under
+Layers, losses and optimizers compute in the dtype of the arrays they are
+given, so one model runs in one precision throughout: the GAN in float64,
+the LSTM in float32 (`lstm.py`), where its products and elementwise kernels
+take about half the time. A layer reads its input in its weights' dtype;
+activations and losses given arrays that are not floating point compute in
+float64. Either way a training run is bit-reproducible from an RNG seed.
+GAN and LSTM training and GAN sampling run under
 `one_blas_thread`, which puts the OpenBLAS that numpy links against on the
 calling thread for the call: their products are at most a few million
 multiply-adds, where a second BLAS thread costs more in hand-off and
@@ -76,6 +81,11 @@ def one_blas_thread():
         put(before)
 
 
+def _float_dtype(a: np.ndarray) -> np.dtype:
+    """a's dtype when it is floating point, else float64."""
+    return a.dtype if np.issubdtype(a.dtype, np.floating) else np.dtype(np.float64)
+
+
 def apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """act(z), written into `out` when given (which may be z itself)."""
     if name not in ACTIVATIONS:
@@ -86,7 +96,7 @@ def apply_activation(name: str, z: np.ndarray, out: np.ndarray | None = None) ->
         np.copyto(out, z)
         return out
     if out is None:
-        out = np.empty_like(z, dtype=np.float64)
+        out = np.empty_like(z, dtype=_float_dtype(z))
     if name == "relu":
         np.maximum(z, 0.0, out=out)
     elif name == "tanh":
@@ -170,7 +180,7 @@ class DenseLayer:
     def forward(self, x: np.ndarray, cache: bool = True,
                 out: np.ndarray | None = None) -> np.ndarray:
         """act(x W + b), written into `out` when given."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.atleast_2d(np.asarray(x, dtype=self.weights.dtype))
         if x.shape[1] != self.n_in:
             raise ShapeError(f"input width {x.shape[1]} != layer width {self.n_in}")
         z = np.matmul(x, self.weights, out=out)
@@ -199,7 +209,7 @@ class DenseLayer:
         grown when too small."""
         held = self._buffers.get(role)
         if held is None or held.size < rows * cols:
-            held = self._buffers[role] = np.empty(rows * cols)
+            held = self._buffers[role] = np.empty(rows * cols, dtype=self.weights.dtype)
         return held[: rows * cols].reshape(rows, cols)
 
 
@@ -262,26 +272,30 @@ def loss_and_grad(kind: str, predicted: np.ndarray, target: np.ndarray):
 
     Predictions are clamped to [LOG_CLAMP, 1 - LOG_CLAMP] before any log.
     """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    predicted = np.asarray(predicted)
+    predicted = predicted.astype(_float_dtype(predicted), copy=False)
+    target = np.asarray(target, dtype=predicted.dtype)
     if predicted.shape != target.shape:
         raise ShapeError(f"predicted {predicted.shape} != target {target.shape}")
     p = np.clip(predicted, LOG_CLAMP, 1.0 - LOG_CLAMP)
     n = predicted.shape[0] if predicted.ndim > 1 else 1
+    # Least divisor of the gradients: 1e-300 is 0 in float32, where it would
+    # turn a prediction that underflowed to 0 into 0/0.
+    floor = max(1e-300, np.finfo(predicted.dtype).tiny)
     if kind == "binary_cross_entropy":
         loss = -np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p))
         # Gradient of the unclamped objective, with the true prediction in the
         # denominator: composed with a sigmoid output it reduces to the stable
         # (p - t) pre-activation form even when the sigmoid saturates past the
         # clamp, instead of vanishing.
-        denom = np.maximum(predicted * (1.0 - predicted), 1e-300)
+        denom = np.maximum(predicted * (1.0 - predicted), floor)
         grad = (p - target) / denom / p.size
         return float(loss), grad
     if kind == "categorical_cross_entropy":
-        # loss = -sum(target * log(p)) / n;  grad = -(target / max(predicted, 1e-300)) / n
+        # loss = -sum(target * log(p)) / n;  grad = -(target / max(predicted, floor)) / n
         np.log(p, out=p)
         loss = -np.sum(np.multiply(target, p, out=p)) / n
-        grad = np.maximum(predicted, 1e-300, out=p)
+        grad = np.maximum(predicted, floor, out=p)
         np.divide(target, grad, out=grad)
         np.negative(grad, out=grad)
         grad /= n
@@ -306,7 +320,8 @@ class Sgd:
 
 def _scratch_pair(params: list[np.ndarray]) -> np.ndarray:
     """Two flat buffers as large as the largest parameter, for step temporaries."""
-    return np.empty((2, max((p.size for p in params), default=0)))
+    return np.empty((2, max((p.size for p in params), default=0)),
+                    dtype=np.result_type(*params) if params else np.float64)
 
 
 class Adam:

@@ -4,6 +4,7 @@ import pytest
 
 from ganfuzz.cli import main
 from ganfuzz.corpus import load_corpus
+from ganfuzz.lstm import LstmConfig, lstm_generate, train_lstm
 
 
 @pytest.fixture
@@ -64,6 +65,22 @@ class TestExitCodes:
         assert code == 2
         assert "exec_budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy, given, missing", [
+        ("rand_corpus", [], "--corpus"),
+        ("lstm", ["--model", "lstm.bin"], "--corpus"),
+        ("gan", [], "--model"),
+        ("lstm", ["--corpus", "corpus"], "--model"),
+    ])
+    def test_generate_without_its_input_is_usage_error(self, strategy, given, missing,
+                                                       tmp_path, capsys):
+        # Checked before anything is loaded, so the named files need not exist.
+        out = tmp_path / "seeds"
+        code = main(["generate", "--strategy", strategy, *given, "--n", "3",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"--strategy {strategy} needs {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupted_corpus_is_runtime_failure(self, mini_corpus, tmp_path, capsys):
         next((mini_corpus / "queue").rglob("id-*")).unlink()
         code = main(["dedup", "--corpus", str(mini_corpus),
@@ -106,7 +123,11 @@ class TestSubcommands:
         assert main(["generate", "--strategy", "lstm", "--model", str(model),
                      "--corpus", str(mini_corpus), "--n", "5",
                      "--out", str(out), "--rng-seed", "2"]) == 0
-        assert len(load_corpus(out)) == 5
+        # The saved float32 model samples what the trained one would have.
+        corpus = [s.data for s in load_corpus(mini_corpus)]
+        expected = lstm_generate(train_lstm(corpus, LstmConfig(epochs=1, rng_seed=0)),
+                                 5, 1.0, corpus, rng_seed=2).seeds
+        assert [s.data for s in load_corpus(out)] == expected
 
     def test_train_and_generate_gan(self, mini_corpus, tmp_path):
         model = tmp_path / "gan.bin"

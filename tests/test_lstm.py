@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ganfuzz import nn
+from ganfuzz import lstm, nn
 from ganfuzz.errors import UsageError
 from ganfuzz.lstm import (
     LstmConfig,
@@ -34,17 +34,17 @@ _WINDOW3 = LstmConfig(hidden_width=32, dense_width=32, window=3, stride=1,
 _GOLDEN = LstmConfig(hidden_width=16, dense_width=12, window=6, stride=2, epochs=3,
                      batch_size=24, lr=0.005, max_gen_len=10, rng_seed=4)
 # SHA-256 of the golden run's losses, every parameter and 64 sampled seeds;
-# frozen before the recurrence wrote its steps into per-batch blocks, which
-# must not move a bit.
-GOLDEN_LSTM_SHA256 = "c03fc2a1d0e3d12f62f85537e82e2219bffbf06c938cca2bcc7062bf500354a9"
+# re-frozen when the LSTM moved from float64 to float32.
+GOLDEN_LSTM_SHA256 = "4dbf602a6d479b416a6f56b6bc5bee6c4c1d8d5a4592787bbac492a4eb6db791"
 # Products above OpenBLAS's 262,144 multiply-add cut-off for threading: 64 x
 # 64 x 256 per training step, 500 x 64 x 256 per sampling step.
 _GOLDEN_WIDE = LstmConfig(hidden_width=64, dense_width=64, window=8, stride=3, epochs=1,
                           batch_size=64, max_gen_len=8, rng_seed=5)
 # SHA-256 of that run's losses, every parameter and 500 seeds sampled at
-# temperature 1.0 and 500 greedily; frozen with numpy's products on two
-# OpenBLAS threads, before training and sampling ran them on one.
-GOLDEN_LSTM_WIDE_SHA256 = "7b845a96fb1b8b8ce622dcb9e3c1b56c3e076bfeafae9e4fb86d9ad16a4fc8f2"
+# temperature 1.0 and 500 greedily; re-frozen when the LSTM moved from
+# float64 to float32, and the same whether training runs its products on one
+# OpenBLAS thread or on the caller's.
+GOLDEN_LSTM_WIDE_SHA256 = "53554f46388f5e8894a605428774cb7c0ce546c526d42f0b5dc852a8676b3bd1"
 
 
 def _golden_corpus(seed=23, files=16):
@@ -130,13 +130,20 @@ class TestTrainLstm:
         assert _digest(model, samples) == GOLDEN_LSTM_WIDE_SHA256
 
     def test_bptt_gradients_match_finite_differences(self):
+        # The model's own BPTT code, run on a float64 copy of its float32
+        # parameters: central differences in float32 resolve none of the
+        # tolerances below.
         model = init_lstm(LstmConfig(hidden_width=6, dense_width=5, window=4, rng_seed=11))
+        model.wx, model.wh, model.b = (p.astype(np.float64) for p in (model.wx, model.wh, model.b))
+        for layer in (model.dense, model.proj):
+            layer.weights, layer.bias = layer.weights.astype(np.float64), layer.bias.astype(np.float64)
         rng = np.random.Generator(np.random.PCG64(1))
         windows = rng.integers(0, 256, size=(3, 4))
-        targets = rng.integers(0, 256, size=3)
+        targets = _one_hot(rng.integers(0, 256, size=3), np.float64)
         probs, _, _, caches = _forward_window(model, windows)
-        _, grad = nn.loss_and_grad("categorical_cross_entropy", probs, _one_hot(targets))
+        _, grad = nn.loss_and_grad("categorical_cross_entropy", probs, targets)
         grads = _backward_window(model, caches, grad)
+        assert all(g.dtype == np.float64 for g in grads)
         pick = np.random.Generator(np.random.PCG64(2))
         worst = 0.0
         for p, a in zip(model.params(), grads):
@@ -146,11 +153,11 @@ class TestTrainLstm:
                 flat[i] = orig + FD_H
                 lp, _ = nn.loss_and_grad(
                     "categorical_cross_entropy",
-                    _forward_window(model, windows, cache=False)[0], _one_hot(targets))
+                    _forward_window(model, windows, cache=False)[0], targets)
                 flat[i] = orig - FD_H
                 lm, _ = nn.loss_and_grad(
                     "categorical_cross_entropy",
-                    _forward_window(model, windows, cache=False)[0], _one_hot(targets))
+                    _forward_window(model, windows, cache=False)[0], targets)
                 flat[i] = orig
                 num = (lp - lm) / (2 * FD_H)
                 scale = max(abs(num), abs(aflat[i]))
@@ -161,6 +168,51 @@ class TestTrainLstm:
                     continue
                 worst = max(worst, abs(num - aflat[i]) / scale)
         assert worst < 1e-4, f"worst relative error {worst}"
+
+
+class TestPrecision:
+    """The LSTM runs in float32 throughout, the GAN in float64."""
+
+    def test_lstm_trains_and_samples_in_float32(self, monkeypatch):
+        seen_steps, seen_grads = [], []
+
+        def recur(model, windows, st):
+            seen_steps.append(st)
+            return real_recur(model, windows, st)
+
+        def backward(model, st, grad_probs):
+            grads = real_backward(model, st, grad_probs)
+            seen_grads.extend(grads)
+            return grads
+
+        real_recur, real_backward = lstm._recur, lstm._backward_window
+        monkeypatch.setattr(lstm, "_recur", recur)
+        monkeypatch.setattr(lstm, "_backward_window", backward)
+        model = train_lstm(_PERIODIC, LstmConfig(hidden_width=8, dense_width=8, window=3,
+                                                 epochs=1, rng_seed=0))
+        lstm_generate(model, 4, 1.0, _PERIODIC, rng_seed=0)
+        assert {st.keep for st in seen_steps} == {True, False}
+        buffers = [b for st in seen_steps
+                   for b in (st.gates, st.g, st.tc, st.h, st.c, st.wide,
+                             *((st.narrow,) if st.keep else ()))]
+        assert seen_grads
+        for array in (*model.params(), *buffers, *seen_grads):
+            assert array.dtype == np.float32
+
+    def test_gan_trains_in_float64(self):
+        from ganfuzz.gan import GanConfig, train_gan
+
+        gan = train_gan([bytes(range(16))] * 8, GanConfig(latent_dim=4, output_len=16,
+                                                          epochs=2, rng_seed=0))
+        params = nn.parameters(gan.generator + gan.discriminator)
+        assert params and all(p.dtype == np.float64 for p in params)
+
+    def test_init_draws_the_float64_stream_then_casts(self):
+        config = LstmConfig(hidden_width=8, dense_width=8, rng_seed=3)
+        rng = np.random.Generator(np.random.PCG64(config.rng_seed))
+        limit_x = np.sqrt(6.0 / (256 + 4 * config.hidden_width))
+        wx = rng.uniform(-limit_x, limit_x, size=(256, 4 * config.hidden_width))
+        assert np.array_equal(init_lstm(config).wx, wx.astype(np.float32))
 
 
 class TestSampling:
@@ -214,13 +266,16 @@ class TestPersistence:
         assert loaded.max_gen_len == periodic_model.max_gen_len
         assert loaded.rng_seed == periodic_model.rng_seed
         for a, b in zip(periodic_model.params(), loaded.params()):
+            assert b.dtype == np.float32  # held exactly by the float64 payload
             assert np.array_equal(a, b)
 
     def test_loaded_model_generates_identically(self, periodic_model, tmp_path):
         path = tmp_path / "lstm.bin"
         save_lstm(periodic_model, path)
-        assert lstm_generate(load_lstm(path), 4, 1e-5, _PERIODIC, rng_seed=2).seeds == \
-               lstm_generate(periodic_model, 4, 1e-5, _PERIODIC, rng_seed=2).seeds
+        loaded = load_lstm(path)
+        for temperature in (1e-5, 1.0):  # greedy and sampled
+            assert lstm_generate(loaded, 16, temperature, _PERIODIC, rng_seed=2).seeds == \
+                   lstm_generate(periodic_model, 16, temperature, _PERIODIC, rng_seed=2).seeds
 
     def test_wrong_tag_rejected(self, tmp_path):
         from ganfuzz.gan import GanConfig, save_gan, train_gan

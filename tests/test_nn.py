@@ -264,6 +264,38 @@ class TestOptimizers:
             assert np.array_equal(a, b)
 
 
+class TestPrecision:
+    """Layers, losses and optimizers compute in the dtype of their arrays."""
+
+    def test_float32_stays_float32(self):
+        rng = _rng(8)
+        layer = nn.DenseLayer(weights=rng.normal(size=(3, 4)).astype(np.float32),
+                              bias=np.zeros(4, np.float32), activation="softmax")
+        y = layer.forward(rng.normal(size=(5, 3)))  # float64 input, float32 layer
+        target = np.eye(4, dtype=np.float32)[rng.integers(0, 4, size=5)]
+        _, grad = nn.loss_and_grad("categorical_cross_entropy", y, target)
+        dx = layer.backward(grad)
+        opt = nn.RmsProp(0.01)
+        opt.step(nn.parameters([layer]), nn.gradients([layer]))
+        for array in (y, grad, dx, *nn.parameters([layer]), *nn.gradients([layer]),
+                      *opt._acc, opt._scratch):
+            assert array.dtype == np.float32
+
+    @pytest.mark.parametrize("z", [np.arange(6).reshape(2, 3), np.ones((2, 3), np.float64)])
+    def test_other_inputs_compute_in_float64(self, z):
+        assert nn.apply_activation("sigmoid", z).dtype == np.float64
+        _, grad = nn.loss_and_grad("binary_cross_entropy", z, np.zeros((2, 3), np.int64))
+        assert grad.dtype == np.float64
+
+    def test_float32_gradient_of_an_underflowed_prediction_is_finite(self):
+        # 1e-300, the float64 floor of the divisor, is 0 in float32.
+        pred = np.array([[0.0, 1.0]], np.float32)
+        for target in ([[1.0, 0.0]], [[0.0, 1.0]]):
+            _, grad = nn.loss_and_grad("categorical_cross_entropy", pred,
+                                       np.array(target, np.float32))
+            assert np.all(np.isfinite(grad))
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = _rng().normal(size=(10, 10))
